@@ -59,7 +59,6 @@ from .scheme import (
     reduce_servers,
     reduced_params,
     run_trials,
-    server_input,
     server_scale,
 )
 
@@ -113,6 +112,5 @@ __all__ = [
     "reduce_servers",
     "reduced_params",
     "run_trials",
-    "server_input",
     "server_scale",
 ]

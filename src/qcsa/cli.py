@@ -91,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_param_flags(con)
     con.add_argument("--seed", type=int, default=DEFAULT_SEED, help="recorded in the bundle")
     con.add_argument("--out", help="output file (default: stdout)")
-    con.add_argument("--format", choices=["json"], default="json")
 
     ver = sub.add_parser("verify", help="re-check every invariant of a bundle file")
     ver.add_argument("path", help="bundle file produced by construct")
@@ -101,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--trials", type=int, default=100)
     sim.add_argument("--out", help="trial reports as JSON lines (default: stdout)")
-    sim.add_argument("--format", choices=["json"], default="json")
 
     rat = sub.add_parser("rates", help="exact rate table over an (N, L) grid")
     rat.add_argument("--N", type=_int_range, required=True, help="N or A:B (inclusive)")

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeField
-from .matrix import FieldMatrix, as_residue_vector
+from .matrix import FieldMatrix, as_residue_vector, json_int, json_ints
 
 
 class ParameterError(ValueError):
@@ -83,22 +83,12 @@ def dual_multipliers(field: PrimeField, alpha, u) -> tuple:
     nonzero difference of distinct points, so every v_j is nonzero.
     """
     p = field.p
-    a = _canonical(field, alpha)
-    uu = _canonical(field, u)
-    if len(set(a)) != len(a):
-        raise ParameterError(f"evaluation points must be distinct: {a}")
-    if any(x == 0 for x in uu):
-        raise ParameterError(f"multipliers must be nonzero: {uu}")
-    if len(a) != len(uu):
-        raise ParameterError("alpha and u lengths differ")
-    v = []
-    for j in range(len(a)):
-        prod = 1
-        for i in range(len(a)):
-            if i != j:
-                prod = prod * (a[j] - a[i]) % p
-        v.append(pow(uu[j], -1, p) * pow(prod, -1, p) % p)
-    return tuple(v)
+    spec = GrsSpec(field, len(alpha), 0, alpha, u)
+    a = np.array(spec.alpha, dtype=np.int64)
+    prod = np.array(spec.u, dtype=np.int64)
+    for ai in spec.alpha:
+        prod = prod * np.where(a == ai, 1, a - ai) % p
+    return tuple(pow(int(x), -1, p) for x in prod)
 
 
 def _validate_points(field: PrimeField, alpha, f) -> tuple:
@@ -121,17 +111,13 @@ def _validate_points(field: PrimeField, alpha, f) -> tuple:
 # triggers (one per scheme instance) is safe.
 @lru_cache(maxsize=512)
 def _csa_cached(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
-    n, l = len(alpha), len(f)
+    field, n, l = PrimeField(p), len(alpha), len(f)
     out = np.zeros((n, n), dtype=np.int64)
     for j, fj in enumerate(f):
         for i, ai in enumerate(alpha):
             out[i, j] = pow(fj - ai, -1, p)
-    col = np.ones(n, dtype=np.int64)
-    avec = np.array(alpha, dtype=np.int64)
-    for j in range(n - l):
-        out[:, l + j] = col
-        col = col * avec % p
-    return FieldMatrix(PrimeField(p), out)
+    out[:, l:] = grs_generator(GrsSpec(field, n, n - l, alpha, (1,) * n)).array
+    return FieldMatrix(field, out)
 
 
 def csa_matrix(field: PrimeField, alpha, f) -> FieldMatrix:
@@ -144,6 +130,12 @@ def csa_matrix(field: PrimeField, alpha, f) -> FieldMatrix:
     """
     a, ff = _validate_points(field, alpha, f)
     return _csa_cached(field.p, a, ff)
+
+
+@lru_cache(maxsize=256)
+def _csa_inverse(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
+    """The one N x N inverse of C that classical decoding and M_Q share."""
+    return csa_matrix(PrimeField(p), alpha, f).inverse()
 
 
 @dataclass(frozen=True)
@@ -182,11 +174,7 @@ class QcsaParams:
             raise ParameterError(f"L={self.L} exceeds N/2={self.N / 2}; not constructible")
         if any(b == 0 for b in self.beta):
             raise ParameterError(f"beta entries must be nonzero: {self.beta}")
-        if len(set(self.alpha + self.f)) != self.N + self.L:
-            raise ParameterError(
-                f"alpha and f must be {self.N + self.L} pairwise distinct elements "
-                f"of GF({self.field.p}): alpha={self.alpha}, f={self.f}"
-            )
+        _validate_points(self.field, self.alpha, self.f)
 
     @classmethod
     def default(cls, field: PrimeField, n: int, l: int, beta=None) -> "QcsaParams":
@@ -229,18 +217,14 @@ class QcsaParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QcsaParams":
-        return cls(
-            PrimeField(doc["p"]),
-            int(doc["N"]),
-            int(doc["L"]),
-            tuple(doc["alpha"]),
-            tuple(doc["beta"]),
-            tuple(doc["f"]),
-        )
+        """Strict inverse of :meth:`to_dict`: integers only, residues canonical."""
+        field = PrimeField(json_int(doc["p"], "p"))
+        points = (tuple(json_ints(doc[key], key, 0, field.p)) for key in ("alpha", "beta", "f"))
+        return cls(field, json_int(doc["N"], "N"), json_int(doc["L"], "L"), *points)
 
 
 def qcsa_matrix(params: QcsaParams) -> FieldMatrix:
-    """The N x N QCSA matrix, built entry by entry.
+    """The N x N QCSA matrix Diag(beta) @ C, for the cached CSA matrix C.
 
     Column layout: L Cauchy columns beta_n/(f_j - alpha_n), then N - L
     scaled Vandermonde columns beta_n * alpha_n**t.  The first ceil(N/2) of
@@ -248,19 +232,7 @@ def qcsa_matrix(params: QcsaParams) -> FieldMatrix:
     code on (alpha, beta).  Row-scaling an invertible Cauchy-Vandermonde
     matrix by nonzero beta keeps it invertible.
     """
-    p = params.field.p
-    n, l = params.N, params.L
-    out = np.zeros((n, n), dtype=np.int64)
-    beta = np.array(params.beta, dtype=np.int64)
-    avec = np.array(params.alpha, dtype=np.int64)
-    for j, fj in enumerate(params.f):
-        for i, ai in enumerate(params.alpha):
-            out[i, j] = params.beta[i] * pow(fj - ai, -1, p) % p
-    col = beta.copy()
-    for j in range(n - l):
-        out[:, l + j] = col
-        col = col * avec % p
-    return FieldMatrix(params.field, out)
+    return csa_matrix(params.field, params.alpha, params.f).scale_rows(params.beta)
 
 
 def _check_qcsa_shape(q: FieldMatrix, params: QcsaParams) -> None:

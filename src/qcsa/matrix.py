@@ -56,6 +56,23 @@ def as_residue_vector(field: PrimeField, values, length: int | None = None) -> n
     return arr
 
 
+def json_int(value, key: str) -> int:
+    """A JSON integer, as is; bools, floats and everything else are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def json_ints(values, key: str, lo: int, hi: int) -> list:
+    """A JSON list of integers in [lo, hi), checked before any conversion."""
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list, got {type(values).__name__}")
+    if set(map(type, values)) <= {int} and (not values or (lo <= min(values) and max(values) < hi)):
+        return values
+    i = next(i for i, x in enumerate(values) if type(x) is not int or not lo <= x < hi)
+    raise ValueError(f"{key}[{i}] must be an integer in [{lo}, {hi}), got {values[i]!r}")
+
+
 class FieldMatrix:
     """Immutable dense matrix over GF(p)."""
 
@@ -86,15 +103,14 @@ class FieldMatrix:
         return cls(field, np.diag(vec))
 
     @classmethod
-    def column(cls, field: PrimeField, values) -> "FieldMatrix":
-        return cls(field, as_residue_vector(field, values).reshape(-1, 1))
-
-    @classmethod
     def from_dict(cls, doc: dict) -> "FieldMatrix":
-        field = PrimeField(doc["p"])
-        rows, cols = int(doc["rows"]), int(doc["cols"])
-        data = np.array(doc["data"], dtype=np.int64).reshape(rows, cols)
-        return cls(field, data)
+        """Strict inverse of :meth:`to_dict`: entries must be canonical residues."""
+        field = PrimeField(json_int(doc["p"], "p"))
+        rows, cols = json_int(doc["rows"], "rows"), json_int(doc["cols"], "cols")
+        data = json_ints(doc["data"], "data", 0, field.p)
+        if rows < 0 or cols < 0 or len(data) != rows * cols:
+            raise ValueError(f"data has {len(data)} entries, not rows x cols = {rows} x {cols}")
+        return cls(field, np.array(data, dtype=np.int64).reshape(rows, cols))
 
     # -- basic properties ----------------------------------------------
 
@@ -159,6 +175,16 @@ class FieldMatrix:
         s = int(as_residue_vector(self.field, [scalar])[0])
         return FieldMatrix(self.field, self._data * s)
 
+    def scale_rows(self, values) -> "FieldMatrix":
+        """Diag(values) @ self, without forming the diagonal matrix."""
+        vec = as_residue_vector(self.field, values, self.rows)
+        return FieldMatrix(self.field, vec[:, None] * self._data)
+
+    def scale_columns(self, values) -> "FieldMatrix":
+        """self @ Diag(values), without forming the diagonal matrix."""
+        vec = as_residue_vector(self.field, values, self.cols)
+        return FieldMatrix(self.field, self._data * vec)
+
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.field, self._data.T)
 
@@ -184,14 +210,10 @@ class FieldMatrix:
         return FieldMatrix(self.field, sub)
 
     def take_rows(self, indices) -> "FieldMatrix":
-        idx = np.asarray(list(indices), dtype=np.int64)
-        return FieldMatrix(self.field, self._data[idx, :] if idx.size else
-                           np.zeros((0, self.cols), dtype=np.int64))
+        return FieldMatrix(self.field, self._data[np.asarray(list(indices), dtype=np.int64), :])
 
     def take_columns(self, indices) -> "FieldMatrix":
-        idx = np.asarray(list(indices), dtype=np.int64)
-        return FieldMatrix(self.field, self._data[:, idx] if idx.size else
-                           np.zeros((self.rows, 0), dtype=np.int64))
+        return FieldMatrix(self.field, self._data[:, np.asarray(list(indices), dtype=np.int64)])
 
     # -- elimination kernels ----------------------------------------------
 
@@ -357,8 +379,9 @@ class Permutation:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Permutation":
-        perm = cls(doc["image"])
-        if perm.n != int(doc["n"]):
+        n = json_int(doc["n"], "n")
+        perm = cls(json_ints(doc["image"], "image", 1, n + 1))
+        if perm.n != n:
             raise ValueError("permutation length disagrees with its header")
         return perm
 

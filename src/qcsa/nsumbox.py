@@ -18,7 +18,11 @@ cross-subspace-aligned instances over the air: G stacks the mutually dual
 GRS blocks of a QCSA matrix pair (the classic CSS recipe for producing an
 SSO matrix), H collects the leftover columns, and the resulting M routes
 the desired symbols, plus a fixed tail of interference symbols, straight
-to the output.
+to the output.  [G H] is a column gather of Block-Diag(Qu, Qv) at one
+fixed layout, and because Qu = Diag(u) C and Qv = Diag(v) C for the one
+CSA matrix C, M's top rows are selected rows of C^{-1} Diag(u)^{-1} and
+its bottom rows selected rows of C^{-1} Diag(v)^{-1}, so the synthesis
+never inverts a 2N x 2N matrix.
 """
 
 from dataclasses import dataclass
@@ -28,11 +32,10 @@ import numpy as np
 from .codes import (
     ParameterError,
     QcsaParams,
+    _csa_inverse,
     dual_multipliers,
-    qcsa_cauchy_block,
     qcsa_grs_submatrix,
     qcsa_matrix,
-    qcsa_trailing_block,
 )
 from .field import PrimeField
 from .matrix import (
@@ -41,7 +44,8 @@ from .matrix import (
     SingularMatrixError,
     block_diag,
     hstack,
-    permutation_matrix,
+    json_int,
+    json_ints,
 )
 
 
@@ -76,6 +80,30 @@ def is_sso(g: FieldMatrix) -> bool:
     return (g.T @ j @ g).is_zero()
 
 
+def _layout(n: int, l: int) -> tuple:
+    """The column layout of [G | H] inside Block-Diag(Qu, Qv), 1-based.
+
+    The first N entries pick out the two GRS blocks (these become G): Qu's
+    ceil(N/2) columns after its Cauchy block, then Qv's floor(N/2).  The
+    last N sweep up, in order, Qu's Cauchy block, Qu's Vandermonde tail,
+    Qv's Cauchy block, for odd N the one GRS column of Qv dropped from G,
+    and Qv's tail.  Those last N are also the coordinates of x that the
+    QCSA channel forwards to y.
+    """
+    if 2 * l > n:
+        raise ParameterError(f"L={l} exceeds N/2={n / 2}")
+    ceil_half = (n + 1) // 2
+    floor_half = n // 2
+    return (
+        tuple(range(l + 1, l + ceil_half + 1))
+        + tuple(range(n + l + 1, n + l + floor_half + 1))
+        + tuple(range(1, l + 1))
+        + tuple(range(l + ceil_half + 1, n + 1))
+        + tuple(range(n + 1, n + l + 1))
+        + tuple(range(n + l + floor_half + 1, 2 * n + 1))
+    )
+
+
 def selector_row_indices(n: int, l: int) -> tuple:
     """1-based coordinates of x that the QCSA channel forwards to y.
 
@@ -83,22 +111,14 @@ def selector_row_indices(n: int, l: int) -> tuple:
     instance 1, desired symbols of instance 2, trailing interference of
     instance 2.
     """
-    if 2 * l > n:
-        raise ParameterError(f"L={l} exceeds N/2={n / 2}")
-    ceil_half = (n + 1) // 2
-    floor_half = n // 2
-    return tuple(
-        list(range(1, l + 1))
-        + list(range(l + ceil_half + 1, n + 1))
-        + list(range(n + 1, n + l + 1))
-        + list(range(n + l + floor_half + 1, 2 * n + 1))
-    )
+    return _layout(n, l)[n:]
 
 
 def selector_matrix(field: PrimeField, n: int, l: int) -> FieldMatrix:
     """The N x 2N row selector the synthesized channel realizes.
 
-    Assembled literally from its four block rows:
+    Row i is the standard basis vector at coordinate
+    ``selector_row_indices(n, l)[i]``, so in block form
 
         [ I_L  0    0                  | 0    0    0                 ]
         [ 0    0    I_{floor(N/2)-L}   | 0    0    0                 ]
@@ -106,46 +126,14 @@ def selector_matrix(field: PrimeField, n: int, l: int) -> FieldMatrix:
         [ 0    0    0                  | 0    0    I_{ceil(N/2)-L}   ]
 
     with column group widths (L, ceil(N/2), floor(N/2)-L) on each half.
-    Every row is a distinct standard basis vector of length 2N.
     """
-    if 2 * l > n:
-        raise ParameterError(f"L={l} exceeds N/2={n / 2}")
-    ceil_half = (n + 1) // 2
-    floor_half = n // 2
-    out = np.zeros((n, 2 * n), dtype=np.int64)
-    row = 0
-    for offset, width in (
-        (0, l),
-        (l + ceil_half, floor_half - l),
-        (n, l),
-        (n + l + floor_half, ceil_half - l),
-    ):
-        for t in range(width):
-            out[row, offset + t] = 1
-            row += 1
-    return FieldMatrix(field, out)
+    rows = [i - 1 for i in selector_row_indices(n, l)]
+    return FieldMatrix.identity(field, 2 * n).take_rows(rows)
 
 
 def gh_column_permutation(n: int, l: int) -> Permutation:
-    """Column order mapping Block-Diag(Qu, Qv) onto [G | H].
-
-    The first N images pick out the two GRS blocks (these become G), the
-    last N sweep up the Cauchy columns, the Vandermonde tails, and, for
-    odd N, the one GRS column dropped from G.
-    """
-    if 2 * l > n:
-        raise ParameterError(f"L={l} exceeds N/2={n / 2}")
-    ceil_half = (n + 1) // 2
-    floor_half = n // 2
-    image = (
-        list(range(l + 1, l + ceil_half + 1))
-        + list(range(n + l + 1, n + l + floor_half + 1))
-        + list(range(1, l + 1))
-        + list(range(l + ceil_half + 1, n + 1))
-        + list(range(n + 1, n + l + 1))
-        + list(range(n + l + floor_half + 1, 2 * n + 1))
-    )
-    return Permutation(image)
+    """Column order mapping Block-Diag(Qu, Qv) onto [G | H]."""
+    return Permutation(_layout(n, l))
 
 
 @dataclass(frozen=True)
@@ -182,18 +170,36 @@ class NSumBox:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NSumBox":
-        field = PrimeField(doc["p"])
-        n = int(doc["N"])
-        m = FieldMatrix.from_dict(doc["M"])
-        g = FieldMatrix.from_dict(doc["G"])
-        h = FieldMatrix.from_dict(doc["H"])
-        for mat, shape in ((m, (n, 2 * n)), (g, (2 * n, n)), (h, (2 * n, n))):
-            if mat.field.p != field.p:
-                raise ValueError("matrix modulus disagrees with the box header")
-            if mat.shape != shape:
-                raise ValueError(f"expected shape {shape}, got {mat.shape}")
-        pi = Permutation.from_dict(doc["pi"]) if doc.get("pi") is not None else None
-        return cls(field, n, m, g, h, pi)
+        """Strict inverse of :meth:`to_dict`; every error names the key at fault."""
+        field = PrimeField(json_int(doc["p"], "p"))
+        return _box_from_dict(doc, field, json_int(doc["N"], "N"), "M")
+
+
+def _parse(doc: dict, key: str, parse):
+    """parse(doc[key]), with its errors re-raised as ValueErrors naming ``key``."""
+    try:
+        return parse(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _matrix(doc: dict, key: str, p: int, shape: tuple) -> FieldMatrix:
+    mat = _parse(doc, key, FieldMatrix.from_dict)
+    if mat.field.p != p:
+        raise ValueError(f"{key} modulus disagrees with the header")
+    if mat.shape != shape:
+        raise ValueError(f"{key} must have shape {shape}, got {mat.shape}")
+    return mat
+
+
+def _box_from_dict(doc: dict, field: PrimeField, n: int, m_key: str) -> NSumBox:
+    """The box serialized in ``doc``, with its channel matrix under ``m_key``."""
+    m = _matrix(doc, m_key, field.p, (n, 2 * n))
+    g, h = (_matrix(doc, key, field.p, (2 * n, n)) for key in ("G", "H"))
+    pi = _parse(doc, "pi", Permutation.from_dict) if doc.get("pi") is not None else None
+    if pi is not None and pi.n != 2 * n:
+        raise ValueError(f"pi must permute [1..{2 * n}], got length {pi.n}")
+    return NSumBox(field, n, m, g, h, pi)
 
 
 def channel_from_gh(g: FieldMatrix, h: FieldMatrix) -> NSumBox:
@@ -221,16 +227,20 @@ def build_qcsa_box(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams) -> NSum
     """Synthesize the channel that decodes a QCSA matrix pair over the air.
 
     ``params.beta`` is the free multiplier vector u; the dual vector v is
-    recomputed here and the supplied pair is checked against the
-    reconstruction, because the dual pairing is the load-bearing
-    hypothesis behind self-orthogonality.
+    recomputed here and the supplied pair is checked against
+    Diag(u) @ C and Diag(v) @ C for the CSA matrix C, because the dual
+    pairing is the load-bearing hypothesis behind self-orthogonality.
 
     G = Block-Diag of the [N, ceil(N/2)] GRS block of Qu and the
     [N, floor(N/2)] GRS block of Qv (for odd N the surplus GRS column of
     Qv is demoted to H).  H gathers the remaining columns of
     Block-Diag(Qu, Qv): Qu's Cauchy block, Qu's Vandermonde tail, Qv's
     Cauchy block, the demoted column when N is odd, then Qv's tail.  The
-    channel matrix is the row selector times Block-Diag(Qu, Qv)^{-1}.
+    channel matrix is the row selector times Block-Diag(Qu, Qv)^{-1}, and
+    since Qu^{-1} = C^{-1} Diag(u)^{-1} and Qv^{-1} = C^{-1} Diag(v)^{-1},
+    its top rows are selected rows of C^{-1} Diag(u)^{-1} and its bottom
+    rows selected rows of C^{-1} Diag(v)^{-1}: one cached N x N inverse,
+    no 2N x 2N one.
     """
     n, l = params.N, params.L
     field = params.field
@@ -250,30 +260,16 @@ def build_qcsa_box(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams) -> NSum
     if qv != expected_qv:
         raise ParameterError("Qv does not match the dual matrix rebuilt from (alpha, u, f)")
 
-    # G: the two mutually dual GRS blocks on the diagonal.
-    g = block_diag([gamma_top, gamma_bot])
-
-    # H: leftover columns, in the fixed order that matches the column
-    # permutation below.  Each piece lives in one half of the row space.
-    def upper(cols: FieldMatrix) -> FieldMatrix:
-        return block_diag([cols, FieldMatrix.zeros(field, n, 0)])
-
-    def lower(cols: FieldMatrix) -> FieldMatrix:
-        return block_diag([FieldMatrix.zeros(field, n, 0), cols])
-
-    h_pieces = [
-        upper(hstack([qcsa_cauchy_block(qu, params), qcsa_trailing_block(qu, params)])),
-        lower(qcsa_cauchy_block(qv, params)),
-    ]
-    if n % 2 == 1:
-        h_pieces.append(lower(qv.take_columns([l + params.half_ceil - 1])))
-    h_pieces.append(lower(qcsa_trailing_block(qv, params)))
-    h = hstack(h_pieces)
-
     pi = gh_column_permutation(n, l)
-    bd = block_diag([qu, qv])
-    m = selector_matrix(field, n, l) @ bd.inverse()
-    return NSumBox(field, n, m, g, h, pi)
+    layout = [i - 1 for i in pi.image]
+    gh = block_diag([qu, qv]).take_columns(layout)
+    c_inv = _csa_inverse(field.p, params.alpha, params.f)
+    bd_inv = block_diag([
+        c_inv.scale_columns([pow(x, -1, field.p) for x in u]),
+        c_inv.scale_columns([pow(x, -1, field.p) for x in v]),
+    ])
+    m = bd_inv.take_rows(layout[n:])
+    return NSumBox(field, n, m, gh.take_columns(range(n)), gh.take_columns(range(n, 2 * n)), pi)
 
 
 @dataclass(frozen=True)
@@ -305,29 +301,14 @@ class QcsaSystem:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QcsaSystem":
-        params = QcsaParams.from_dict(doc["params"])
+        """Strict inverse of :meth:`to_dict`; every error names the key at fault."""
+        params = _parse(doc, "params", QcsaParams.from_dict)
         p, n = params.field.p, params.N
-        shapes = {
-            "Qu": (n, n),
-            "Qv": (n, n),
-            "G": (2 * n, n),
-            "H": (2 * n, n),
-            "M_Q": (n, 2 * n),
-        }
-        mats = {}
-        for key, shape in shapes.items():
-            mats[key] = FieldMatrix.from_dict(doc[key])
-            if mats[key].field.p != p:
-                raise ValueError(f"{key} modulus disagrees with the parameter header")
-            if mats[key].shape != shape:
-                raise ValueError(f"{key} must have shape {shape}, got {mats[key].shape}")
-        if tuple(doc["u"]) != params.beta:
+        qu, qv = (_matrix(doc, key, p, (n, n)) for key in ("Qu", "Qv"))
+        box = _box_from_dict(doc, params.field, n, "M_Q")
+        if tuple(json_ints(doc["u"], "u", 0, p)) != params.beta:
             raise ValueError("u disagrees with the parameter header")
-        pi = Permutation.from_dict(doc["pi"]) if doc.get("pi") is not None else None
-        if pi is not None and pi.n != 2 * n:
-            raise ValueError(f"pi must permute [1..{2 * n}], got length {pi.n}")
-        box = NSumBox(params.field, params.N, mats["M_Q"], mats["G"], mats["H"], pi)
-        return cls(params, tuple(int(x) for x in doc["v"]), mats["Qu"], mats["Qv"], box)
+        return cls(params, tuple(json_ints(doc["v"], "v", 0, p)), qu, qv, box)
 
 
 def build_qcsa_system(params: QcsaParams) -> QcsaSystem:
@@ -351,15 +332,19 @@ def verify_box(box: NSumBox) -> dict:
     j = symplectic_form(field, n)
     checks["g_rank"] = box.G.rank() == n
     checks["g_symplectic_orthogonal"] = (box.G.T @ j @ box.G).is_zero()
-    gh = hstack([box.G, box.H])
-    checks["gh_full_rank"] = gh.rank() == 2 * n
-    if checks["gh_full_rank"]:
-        bottom = gh.inverse().take_rows(range(n, 2 * n))
-        checks["m_from_gh"] = box.M == bottom
-    else:
-        checks["m_from_gh"] = False
-    checks["m_annihilates_g"] = (box.M @ box.G).is_zero()
-    checks["m_inverts_h"] = box.M @ box.H == FieldMatrix.identity(field, n)
+    annihilates = (box.M @ box.G).is_zero()
+    inverts = box.M @ box.H == FieldMatrix.identity(field, n)
+    # If rank G = N, MG = 0 and MH = I, then [G H] is invertible: applying M
+    # to [G H](a, b) = 0 gives b = 0, and then G a = 0 gives a = 0.  And
+    # M [G H] = (0 I) fixes M = (0 I)[G H]^{-1} uniquely.  So the 2N x 2N
+    # rank is only needed when one of the cheap checks already failed.
+    checks["gh_full_rank"] = (
+        (checks["g_rank"] and annihilates and inverts)
+        or hstack([box.G, box.H]).rank() == 2 * n
+    )
+    checks["m_from_gh"] = checks["gh_full_rank"] and annihilates and inverts
+    checks["m_annihilates_g"] = annihilates
+    checks["m_inverts_h"] = inverts
     return checks
 
 
@@ -376,12 +361,11 @@ def verify_system(system: QcsaSystem) -> dict:
     gamma_bot = qcsa_grs_submatrix(system.qv, params, params.half_floor)
     checks["grs_duality"] = (gamma_top.T @ gamma_bot).is_zero()
     checks.update(verify_box(system.box))
-    if system.box.pi is None:
-        checks["pi_present"] = False
+    checks["pi_present"] = system.box.pi is not None
+    if not checks["pi_present"]:
         return checks
-    checks["pi_present"] = True
     bd = block_diag([system.qu, system.qv])
-    p_pi = permutation_matrix(field, system.box.pi)
-    checks["gh_is_permuted_blockdiag"] = hstack([system.box.G, system.box.H]) == bd @ p_pi
+    gathered = bd.take_columns([i - 1 for i in system.box.pi.image])
+    checks["gh_is_permuted_blockdiag"] = hstack([system.box.G, system.box.H]) == gathered
     checks["selector_identity"] = system.box.M @ bd == selector_matrix(field, n, l)
     return checks

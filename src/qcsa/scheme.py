@@ -16,11 +16,10 @@ the seed, so trials replay bit-exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .codes import ParameterError, QcsaParams, csa_matrix
+from .codes import ParameterError, QcsaParams, _csa_inverse, csa_matrix
 from .field import PrimeField
 from .matrix import FieldMatrix, as_residue_vector
 from .nsumbox import QcsaSystem, build_qcsa_system
@@ -68,11 +67,6 @@ def make_instances(params: QcsaParams, seed) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _csa_inverse(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
-    return csa_matrix(PrimeField(p), alpha, f).inverse()
-
-
 def classical_decode(answers, params: QcsaParams) -> np.ndarray:
     """Recover the stacked symbol vector by inverting the CSA matrix.
 
@@ -87,16 +81,6 @@ def classical_decode(answers, params: QcsaParams) -> np.ndarray:
     if arr.ndim == 2 and arr.shape[0] == params.N:
         return (inv @ FieldMatrix(params.field, arr)).array.copy()
     raise ValueError(f"answers must be length {params.N} or {params.N} x T, got {arr.shape}")
-
-
-def server_input(field: PrimeField, a1_n, a2_n, u_n, v_n) -> tuple:
-    """What a single server feeds into its two box coordinates.
-
-    Pure function of that server's own answers and multipliers; nothing
-    else about the scheme is visible from here.
-    """
-    p = field.p
-    return (int(u_n) * int(a1_n) % p, int(v_n) * int(a2_n) % p)
 
 
 def server_scale(field: PrimeField, a1, a2, u, v) -> np.ndarray:

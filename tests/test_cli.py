@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -114,6 +115,74 @@ def test_verify_malformed_file(tmp_path):
     truncated.write_text(json.dumps({"params": {"p": 5, "N": 2, "L": 1,
                                                 "alpha": [1, 2], "beta": [1, 1], "f": [3]}}))
     assert run_cli("verify", str(truncated)) == 3
+
+
+# SHA-256 of `qcsa construct` stdout, recorded from the construction that
+# inverted the 2N x 2N Block-Diag(Qu, Qv), so they hold the C^{-1} route to
+# the same bytes.
+CONSTRUCT_DIGESTS = [
+    (("--N", "2", "--L", "1", "--p", "3"),
+     "97f0e8b3ed6f960caecfe862332167c3cc9a2640c99c9c8c125ab0b5371c03fb"),
+    (("--N", "3", "--L", "1", "--p", "5"),
+     "16f3b42e62817a358e6928dbe38c99d122835491df51f977dba005389cd13f4b"),
+    (("--N", "5", "--L", "2", "--p", "101"),
+     "3c01d27ca499b4620d4323f8f195913b84419249339b173c8a2be7e19be6352b"),
+    (("--N", "8", "--L", "4", "--p", "65521"),
+     "4ddb2767dc12738c5c38600327baae57f8cfe4643b0664717a1ba116d36ba568"),
+    (("--N", "12", "--L", "3", "--p", "2147483647"),
+     "85b70a98dc3c71dc2b7514471a13c89020df91bf01d40af3bfe6547903f181dc"),
+    (("--N", "12", "--L", "6", "--p", "19"),
+     "18714167dfe315bdbeabe108e4655146f1568c3a2af54f9e568238d6813c60d0"),
+    (("--N", "5", "--L", "2", "--p", "2147483647"),
+     "c43a156e7cebdaab0d2d5d02fd283c1ec3e925d3b07cd0556d54704580587043"),
+    (("--N", "5", "--L", "2", "--p", "101", "--alpha", "7,3,50,11,99", "--f", "20,64",
+      "--u", "5,17,1,88,42"),
+     "43d631463a197b27e4e4b379aebd471d7e60b1aa182ecbc1ff72a3dab09ec5b1"),
+    (("--N", "8", "--L", "3", "--p", "2147483647", "--alpha", "7,3,50,11,99,2000000000,5,6",
+      "--f", "20,64,1234567", "--u", "5,17,1,88,42,2147483646,3,9"),
+     "e826ecfb57ffd6010d9355c967e661de2603238be812a8505b8223cd252878b2"),
+]
+DIGEST_IDS = ["-".join(args[1:6:2]) + ("-points" if len(args) > 6 else "")
+              for args, _ in CONSTRUCT_DIGESTS]
+
+
+@pytest.mark.parametrize("args,digest", CONSTRUCT_DIGESTS, ids=DIGEST_IDS)
+def test_construct_bytes_are_pinned(capsys, args, digest):
+    assert run_cli("construct", *args) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _set(path, transform):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = transform(doc[last])
+    return edit
+
+
+# Each edit once gave "internal error" (exit 1) or a silent 14/14 PASS.
+MALFORMED_BUNDLES = {
+    "M_Q entry 2^70": (_set(("M_Q", "data", 0), lambda x: 2**70), "M_Q: data[0]"),
+    "M_Q entry x+0.5": (_set(("M_Q", "data", 0), lambda x: x + 0.5), "M_Q: data[0]"),
+    "v entry x+0.5": (_set(("v", 1), lambda x: x + 0.5), "v[1]"),
+    "M_Q entry x+p": (_set(("M_Q", "data", 0), lambda x: x + 13), "M_Q: data[0]"),
+    "N true": (_set(("params", "N"), lambda x: True), "params: N"),
+    "pi image float": (_set(("pi", "image", 0), float), "pi: image[0]"),
+}
+
+
+@pytest.mark.parametrize("edit,key", MALFORMED_BUNDLES.values(), ids=MALFORMED_BUNDLES)
+def test_verify_rejects_malformed_entries(tmp_path, capsys, edit, key):
+    out = tmp_path / "bundle.json"
+    run_cli("construct", "--p", "13", "--N", "4", "--L", "1", "--out", str(out))
+    doc = json.loads(out.read_text())
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    assert run_cli("verify", str(out)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
 
 
 def test_simulate_trials(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from qcsa.nsumbox import (
     DualityViolationError,
     NSumBox,
     NotSSOError,
+    QcsaSystem,
     SingularGHError,
     build_qcsa_box,
     build_qcsa_system,
@@ -22,6 +25,7 @@ from qcsa.nsumbox import (
 )
 
 from oracles import adjugate_inverse, matmul
+from test_acceptance import GRID, PAIR_GRID
 
 GF5 = PrimeField(5)
 GF13 = PrimeField(13)
@@ -265,7 +269,6 @@ def test_verify_detects_tampering():
     data[0] = (data[0] + 1) % 13
     m_doc["data"] = data
     corrupted["M_Q"] = m_doc
-    from qcsa.nsumbox import QcsaSystem
 
     checks = verify_system(QcsaSystem.from_dict(corrupted))
     assert not checks["selector_identity"]
@@ -289,8 +292,93 @@ def test_box_serialization_round_trip():
     assert box2.G == system.box.G
     assert box2.H == system.box.H
     assert box2.pi == system.box.pi
-    from qcsa.nsumbox import QcsaSystem
 
     system2 = QcsaSystem.from_dict(system.to_dict())
     assert system2.qu == system.qu and system2.qv == system.qv
     assert all(verify_system(system2).values())
+
+
+# Reference formulas: the construction and the check by brute force over
+# the 2N x 2N block diagonal and [G H].  The package derives both from the
+# cached C^{-1} and three cheap identities; these pin it to the brute-force
+# route.
+
+def reference_channel(system) -> FieldMatrix:
+    """M_Q = selector @ Block-Diag(Qu, Qv)^{-1}."""
+    params = system.params
+    bd = block_diag([system.qu, system.qv])
+    return selector_matrix(params.field, params.N, params.L) @ bd.inverse()
+
+
+def reference_verify_box(box) -> dict:
+    """The box checks with the 2N x 2N rank and inverse of [G H]."""
+    field, n = box.field, box.N
+    checks = {}
+    checks["shapes"] = (
+        box.M.shape == (n, 2 * n) and box.G.shape == (2 * n, n) and box.H.shape == (2 * n, n)
+    )
+    if not checks["shapes"]:
+        return checks
+    j = symplectic_form(field, n)
+    checks["g_rank"] = box.G.rank() == n
+    checks["g_symplectic_orthogonal"] = (box.G.T @ j @ box.G).is_zero()
+    gh = hstack([box.G, box.H])
+    checks["gh_full_rank"] = gh.rank() == 2 * n
+    if checks["gh_full_rank"]:
+        checks["m_from_gh"] = box.M == gh.inverse().take_rows(range(n, 2 * n))
+    else:
+        checks["m_from_gh"] = False
+    checks["m_annihilates_g"] = (box.M @ box.G).is_zero()
+    checks["m_inverts_h"] = box.M @ box.H == FieldMatrix.identity(field, n)
+    return checks
+
+
+def _differential_params(field, n, l, rng):
+    if field.p < 10**6:
+        return QcsaParams.random(field, n, l, rng)
+    while True:  # a permutation of GF(2^31 - 1) would take gigabytes
+        points = rng.integers(0, field.p, size=n + l)
+        if len(set(points.tolist())) == n + l:
+            beta = rng.integers(1, field.p, size=n)
+            return QcsaParams(field, n, l, tuple(points[:n]), tuple(beta), tuple(points[n:]))
+
+
+def _tampered_boxes(box, rng):
+    """One bumped entry and one zeroed column in each of M, G and H."""
+    for name in ("M", "G", "H"):
+        bumped = getattr(box, name).array.copy()
+        i, j = (int(rng.integers(k)) for k in bumped.shape)
+        bumped[i, j] += 1
+        yield replace(box, **{name: FieldMatrix(box.field, bumped)})
+        zeroed = getattr(box, name).array.copy()
+        zeroed[:, int(rng.integers(zeroed.shape[1]))] = 0
+        yield replace(box, **{name: FieldMatrix(box.field, zeroed)})
+
+
+DIFFERENTIAL_GRID = GRID + [(n, l, 2**31 - 1) for n, l in PAIR_GRID]
+
+
+@pytest.mark.parametrize("n,l,q", DIFFERENTIAL_GRID)
+def test_channel_and_checks_match_reference_formulas(n, l, q):
+    field = PrimeField(q)
+    rng = np.random.default_rng((75, n, l, q))
+    for params in (QcsaParams.default(field, n, l), _differential_params(field, n, l, rng)):
+        system = build_qcsa_system(params)
+        assert system.box.M == reference_channel(system)
+        assert selector_row_indices(n, l) == gh_column_permutation(n, l).image[n:]
+        for box in (system.box, *_tampered_boxes(system.box, rng)):
+            assert list(verify_box(box).items()) == list(reference_verify_box(box).items())
+
+
+def test_verify_system_gathers_what_the_permutation_matrix_multiplies():
+    rng = np.random.default_rng(76)
+    for n, l, q in GRID[::5]:
+        field = PrimeField(q)
+        system = build_qcsa_system(_differential_params(field, n, l, rng))
+        bd = block_diag([system.qu, system.qv])
+        gh = hstack([system.box.G, system.box.H])
+        for pi in (system.box.pi, Permutation(rng.permutation(2 * n) + 1)):
+            checks = verify_system(replace(system, box=replace(system.box, pi=pi)))
+            assert checks["gh_is_permuted_blockdiag"] == (
+                gh == bd @ permutation_matrix(field, pi)
+            )

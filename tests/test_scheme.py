@@ -16,7 +16,6 @@ from qcsa.scheme import (
     reduce_servers,
     reduced_params,
     run_trials,
-    server_input,
     server_scale,
 )
 
@@ -98,7 +97,9 @@ def test_server_scale_is_local_to_each_server():
     # stitch the same vector together from purely per-server calls
     tops, bottoms = [], []
     for n in range(params.N):
-        top, bottom = server_input(GF13, i1.answers[n], i2.answers[n], system.u[n], system.v[n])
+        top, bottom = server_scale(
+            GF13, [i1.answers[n]], [i2.answers[n]], [system.u[n]], [system.v[n]]
+        ).tolist()
         tops.append(top)
         bottoms.append(bottom)
     assert x.tolist() == tops + bottoms
