@@ -7,17 +7,18 @@ no tolerances, every equality is exact.
 from qcsa import FieldMatrix, PrimeField, SingularMatrixError, next_prime
 
 gf7 = PrimeField(7)
+p = gf7.p
 print(f"working in {gf7}")
 
-a, b = gf7.element(6), gf7.element(6)
-print(f"6 + 6 = {a + b}   (wraps past the modulus)")
-print(f"3 * 5 = {gf7.element(3) * gf7.element(5)}   (15 mod 7 = 1, so 5 = 1/3)")
-print(f"inverse of 3 is {gf7.element(3).inverse()}")
-print(f"3 ** 6 = {gf7.element(3) ** 6}   (every nonzero element to the p-1 is 1)")
+# A field element is a plain int in [0, p); arithmetic is int arithmetic mod p.
+print(f"6 + 6 = {(6 + 6) % p}   (wraps past the modulus)")
+print(f"3 * 5 = {3 * 5 % p}   (15 mod 7 = 1, so 5 = 1/3)")
+print(f"inverse of 3 is {pow(3, -1, p)}")
+print(f"3 ** 6 = {pow(3, 6, p)}   (every nonzero element to the p-1 is 1)")
 
 print("\nall inverses in GF(7):")
-for x in range(1, 7):
-    print(f"  1/{x} = {gf7.element(x).inverse().value}")
+for x in range(1, p):
+    print(f"  1/{x} = {pow(x, -1, p)}")
 
 # Matrices carry their field and stay in canonical residues.
 gf5 = PrimeField(5)

@@ -1,15 +1,16 @@
 """Exact GF(p) toolkit for turning cross-subspace alignment schemes into
 over-the-air quantum CSA channels via the N-sum box abstraction.
 
-The layers, bottom up: prime field arithmetic (:mod:`qcsa.field`), dense
+The layers, bottom up: prime field moduli (:mod:`qcsa.field`), dense
 exact linear algebra (:mod:`qcsa.matrix`), GRS / CSA / QCSA constructions
 (:mod:`qcsa.codes`), feasible N-sum-box channels (:mod:`qcsa.nsumbox`),
 and the two-instance scheme simulator with rate accounting
-(:mod:`qcsa.scheme`).  Everything is exact; there is no floating point
-anywhere in the pipeline.
+(:mod:`qcsa.scheme`).  Every value is a numpy int64 array of canonical
+residues mod p (a single residue is a plain int); everything is exact,
+and there is no floating point anywhere in the pipeline.
 """
 
-from .field import FieldElement, FieldMismatchError, PrimeField, is_prime, next_prime
+from .field import FieldMismatchError, PrimeField, is_prime, next_prime
 from .matrix import (
     FieldMatrix,
     Permutation,
@@ -65,7 +66,6 @@ from .scheme import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldElement",
     "FieldMismatchError",
     "PrimeField",
     "is_prime",

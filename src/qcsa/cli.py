@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .codes import ParameterError, QcsaParams, qcsa_matrix
+from .codes import ParameterError, QcsaParams, check_room, qcsa_matrix
 from .field import PrimeField
 from .nsumbox import QcsaSystem, build_qcsa_system, verify_system
 from .scheme import rate_report, reduced_params, run_trials
@@ -31,9 +31,12 @@ class BundleFormatError(Exception):
 
 def _int_list(text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(","))
+        values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not all(-2**63 <= x < 2**63 for x in values):
+        raise argparse.ArgumentTypeError(f"integers must fit in 64 bits, got {text!r}")
+    return values
 
 
 def _int_range(text: str) -> tuple:
@@ -118,6 +121,9 @@ def _field_from_args(args) -> PrimeField:
 
 def cmd_construct(args) -> int:
     field = _field_from_args(args)
+    if not 1 <= args.L < args.N:
+        raise ParameterError(f"need 1 <= L < N, got N={args.N}, L={args.L}")
+    check_room(field, args.N, args.L)
     u = args.u if args.u is not None else (1,) * args.N
     alpha = args.alpha if args.alpha is not None else tuple(range(args.N))
     f = args.f if args.f is not None else tuple(range(args.N, args.N + args.L))

@@ -23,7 +23,7 @@ class ParameterError(ValueError):
 
 
 def _canonical(field: PrimeField, values) -> tuple:
-    return tuple(int(v) for v in as_residue_vector(field, values))
+    return tuple(as_residue_vector(field, values).tolist())
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,13 @@ def dual_multipliers(field: PrimeField, alpha, u) -> tuple:
     prod = np.array(spec.u, dtype=np.int64)
     for ai in spec.alpha:
         prod = prod * np.where(a == ai, 1, a - ai) % p
-    return tuple(pow(int(x), -1, p) for x in prod)
+    return tuple(pow(x, -1, p) for x in prod.tolist())
+
+
+def check_room(field: PrimeField, n: int, l: int) -> None:
+    """Reject N + L > p, where no N + L distinct points exist, before any is built."""
+    if n + l > field.p:
+        raise ParameterError(f"GF({field.p}) has fewer than N + L = {n + l} elements")
 
 
 def _validate_points(field: PrimeField, alpha, f) -> tuple:
@@ -188,9 +194,8 @@ class QcsaParams:
     @classmethod
     def random(cls, field: PrimeField, n: int, l: int, rng: np.random.Generator) -> "QcsaParams":
         """Random distinct points and nonzero multipliers from ``rng``."""
-        if n + l > field.p:
-            raise ParameterError(f"GF({field.p}) has fewer than {n + l} elements")
-        points = rng.permutation(field.p)[: n + l]
+        check_room(field, n, l)
+        points = rng.choice(field.p, size=n + l, replace=False)
         beta = rng.integers(1, field.p, size=n)
         return cls(field, n, l, tuple(points[:n]), tuple(beta), tuple(points[n:]))
 

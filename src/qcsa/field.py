@@ -1,9 +1,10 @@
-"""Exact arithmetic in prime fields GF(p).
+"""Prime fields GF(p): the modulus, and its primality checks.
 
 Every construction downstream (generator matrices, channel synthesis, the
-over-the-air decode) reduces to arithmetic on canonical residues in
-[0, p-1].  Elements are immutable, equality is value equality, and mixing
-elements from different fields is always an error.
+over-the-air decode) is arithmetic on numpy int64 arrays of canonical
+residues in [0, p-1]; a :class:`PrimeField` only carries and validates p.
+There is no scalar element type: a single residue is a plain ``int``, and
+its inverse is ``pow(x, -1, p)``.
 
 Prime fields only: the schemes here never need more than q >= N + L
 distinct elements, which every GF(p) with p >= N + L provides.  Extension
@@ -21,7 +22,7 @@ _MR_BASES = (2, 3, 5, 7)
 
 
 class FieldMismatchError(ValueError):
-    """Arithmetic attempted between elements of different prime fields."""
+    """Arithmetic attempted between matrices over different prime fields."""
 
 
 def is_prime(n: int) -> bool:
@@ -59,9 +60,8 @@ def next_prime(n: int) -> int:
 class PrimeField:
     """The prime field GF(p).
 
-    Acts as a factory for :class:`FieldElement` and carries the modulus
-    for the matrix and code layers.  Two PrimeField objects compare equal
-    iff they have the same modulus.
+    Carries the validated modulus for the matrix and code layers.  Two
+    PrimeField objects compare equal iff they have the same modulus.
     """
 
     __slots__ = ("p",)
@@ -79,26 +79,6 @@ class PrimeField:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
-    @property
-    def order(self) -> int:
-        return self.p
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def inv_value(self, value: int) -> int:
-        """Inverse of a raw residue, for the integer-array kernels."""
-        value %= self.p
-        if value == 0:
-            raise ZeroDivisionError(f"inversion of zero in GF({self.p})")
-        return pow(value, -1, self.p)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, PrimeField):
             return self.p == other.p
@@ -110,109 +90,3 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
-
-class FieldElement:
-    """An element of GF(p), stored fully reduced.
-
-    Supports ``+ - * / **`` against other elements of the same field and
-    against plain ints (which are reduced into the field first).
-    """
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.value = operator.index(value) % field.p
-        self.field = field
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    def _coerce(self, other) -> int:
-        """Residue of the operand, enforcing the same-field rule."""
-        if isinstance(other, FieldElement):
-            if other.field.p != self.field.p:
-                raise FieldMismatchError(
-                    f"mixing GF({self.field.p}) and GF({other.field.p}) elements"
-                )
-            return other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - v, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v - self.value, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        # pow(0, 0, p) == 1, matching the empty-product convention.
-        return FieldElement(pow(self.value, exponent, self.field.p), self.field)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inversion of zero in GF({self.field.p})")
-        return FieldElement(pow(self.value, -1, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.field.p})")
-        return FieldElement(self.value * pow(v, -1, self.field.p), self.field)
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v, self.field) / self
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field.p == other.field.p and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.p))
-
-    def __int__(self) -> int:
-        return self.value
-
-    __index__ = __int__
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.p})({self.value})"

@@ -1,10 +1,11 @@
 """Dense exact linear algebra over GF(p).
 
 A :class:`FieldMatrix` wraps a read-only numpy int64 array of canonical
-residues together with its :class:`~qcsa.field.PrimeField`.  All kernels
-reduce eagerly, and long dot products are accumulated in chunks sized so
-that no intermediate ever overflows 64 bits (a single product fits because
-moduli are capped at 2**31 - 1).
+residues together with its :class:`~qcsa.field.PrimeField`; a vector is a
+plain 1-D int64 residue array (:func:`as_residue_vector`) and a single
+entry a plain ``int``.  All kernels reduce eagerly, and long dot products
+are accumulated in chunks sized so that no intermediate ever overflows 64
+bits (a single product fits because moduli are capped at 2**31 - 1).
 
 Shapes with zero rows or zero columns are legal values throughout: the
 channel construction produces identity blocks whose width can vanish, and
@@ -16,7 +17,7 @@ so inverses, ranks, and error cases are deterministic.
 
 import numpy as np
 
-from .field import FieldElement, FieldMismatchError, PrimeField
+from .field import FieldMismatchError, PrimeField
 
 _I64_MAX = 2**63 - 1
 
@@ -43,17 +44,13 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def as_residue_vector(field: PrimeField, values, length: int | None = None) -> np.ndarray:
-    """Coerce a sequence of ints / FieldElements to a 1-D residue array."""
-    items = list(values)
-    for x in items:
-        if isinstance(x, FieldElement) and x.field.p != field.p:
-            raise FieldMismatchError(
-                f"vector entry from GF({x.field.p}) used in GF({field.p})"
-            )
-    arr = np.array([int(x) for x in items], dtype=np.int64) % field.p
+    """A fresh 1-D int64 array of the canonical residues of ``values``."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a 1-D vector, got ndim={arr.ndim}")
     if length is not None and arr.shape[0] != length:
         raise ValueError(f"expected a vector of length {length}, got {arr.shape[0]}")
-    return arr
+    return arr % field.p
 
 
 def json_int(value, key: str) -> int:
@@ -171,10 +168,6 @@ class FieldMatrix:
     def __neg__(self):
         return FieldMatrix(self.field, -self._data)
 
-    def scale(self, scalar) -> "FieldMatrix":
-        s = int(as_residue_vector(self.field, [scalar])[0])
-        return FieldMatrix(self.field, self._data * s)
-
     def scale_rows(self, values) -> "FieldMatrix":
         """Diag(values) @ self, without forming the diagonal matrix."""
         vec = as_residue_vector(self.field, values, self.rows)
@@ -198,14 +191,11 @@ class FieldMatrix:
     # -- indexing and assembly -------------------------------------------
 
     def __getitem__(self, key):
-        if (
-            isinstance(key, tuple)
-            and len(key) == 2
-            and all(isinstance(k, (int, np.integer)) for k in key)
-        ):
-            return FieldElement(int(self._data[key]), self.field)
+        """m[i, j] is the residue as a Python int; a 2-D slice is a FieldMatrix."""
         sub = self._data[key]
-        if not isinstance(sub, np.ndarray) or sub.ndim != 2:
+        if isinstance(sub, np.integer):
+            return int(sub)
+        if sub.ndim != 2:
             raise TypeError("only (i, j) scalar access or 2-D slices are supported")
         return FieldMatrix(self.field, sub)
 
@@ -276,7 +266,7 @@ class FieldMatrix:
             "p": self.field.p,
             "rows": self.rows,
             "cols": self.cols,
-            "data": [int(x) for x in self._data.ravel()],
+            "data": self._data.ravel().tolist(),
         }
 
     def __repr__(self) -> str:

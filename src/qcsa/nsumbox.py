@@ -69,15 +69,22 @@ def symplectic_form(field: PrimeField, n: int) -> FieldMatrix:
     return FieldMatrix(field, out)
 
 
+def _symplectic_orthogonal(g: FieldMatrix) -> bool:
+    """G^T J G = 0, through the blocks of J instead of the 2N x 2N matrix.
+
+    With G = [G_top; G_bot], G^T J G = G_bot^T G_top - G_top^T G_bot,
+    which is X - X^T for X = G_bot^T G_top: zero iff X is symmetric.
+    """
+    n = g.cols
+    x = g[n:, :].T @ g[:n, :]
+    return x == x.T
+
+
 def is_sso(g: FieldMatrix) -> bool:
     """Strong self-orthogonality: full column rank N and G^T J G = 0."""
     if g.rows != 2 * g.cols:
         raise ValueError(f"expected a 2N x N matrix, got {g.shape}")
-    n = g.cols
-    if g.rank() != n:
-        return False
-    j = symplectic_form(g.field, n)
-    return (g.T @ j @ g).is_zero()
+    return g.rank() == g.cols and _symplectic_orthogonal(g)
 
 
 def _layout(n: int, l: int) -> tuple:
@@ -329,9 +336,8 @@ def verify_box(box: NSumBox) -> dict:
     )
     if not checks["shapes"]:
         return checks
-    j = symplectic_form(field, n)
     checks["g_rank"] = box.G.rank() == n
-    checks["g_symplectic_orthogonal"] = (box.G.T @ j @ box.G).is_zero()
+    checks["g_symplectic_orthogonal"] = _symplectic_orthogonal(box.G)
     annihilates = (box.M @ box.G).is_zero()
     inverts = box.M @ box.H == FieldMatrix.identity(field, n)
     # If rank G = N, MG = 0 and MH = I, then [G H] is invertible: applying M
@@ -364,8 +370,11 @@ def verify_system(system: QcsaSystem) -> dict:
     checks["pi_present"] = system.box.pi is not None
     if not checks["pi_present"]:
         return checks
-    bd = block_diag([system.qu, system.qv])
+    m, bd = system.box.M, block_diag([system.qu, system.qv])
     gathered = bd.take_columns([i - 1 for i in system.box.pi.image])
     checks["gh_is_permuted_blockdiag"] = hstack([system.box.G, system.box.H]) == gathered
-    checks["selector_identity"] = system.box.M @ bd == selector_matrix(field, n, l)
+    # M Block-Diag(Qu, Qv) = [M_left Qu | M_right Qv], without the zero blocks.
+    checks["selector_identity"] = (
+        hstack([m[:, :n] @ system.qu, m[:, n:] @ system.qv]) == selector_matrix(field, n, l)
+    )
     return checks

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import ParameterError, QcsaParams, _csa_inverse, csa_matrix
+from .codes import ParameterError, QcsaParams, _csa_inverse, check_room, csa_matrix
 from .field import PrimeField
 from .matrix import FieldMatrix, as_residue_vector
 from .nsumbox import QcsaSystem, build_qcsa_system
@@ -46,10 +46,10 @@ class SchemeInstance:
 
     @classmethod
     def from_symbols(cls, params: QcsaParams, index: int, delta, nu) -> "SchemeInstance":
-        d = tuple(int(x) for x in as_residue_vector(params.field, delta, params.L))
-        v = tuple(int(x) for x in as_residue_vector(params.field, nu, params.N - params.L))
+        d = tuple(as_residue_vector(params.field, delta, params.L).tolist())
+        v = tuple(as_residue_vector(params.field, nu, params.N - params.L).tolist())
         answers = csa_matrix(params.field, params.alpha, params.f).matvec(d + v)
-        return cls(index, d, v, tuple(int(x) for x in answers))
+        return cls(index, d, v, tuple(answers.tolist()))
 
 
 def make_instances(params: QcsaParams, seed) -> tuple:
@@ -148,7 +148,7 @@ def qcsa_roundtrip(params: QcsaParams, seed, system: QcsaSystem | None = None) -
     n, l = params.N, params.L
     inst1, inst2 = make_instances(params, seed)
     x = server_scale(params.field, inst1.answers, inst2.answers, system.u, system.v)
-    y = tuple(int(t) for t in system.box.transmit(x))
+    y = tuple(system.box.transmit(x).tolist())
 
     tail1 = _tail(inst1.nu, params.half_floor - l)
     tail2 = _tail(inst2.nu, params.half_ceil - l)
@@ -222,12 +222,14 @@ def reduced_params(field: PrimeField, n: int, l: int, alpha=None, beta=None, f=N
     Applies the server reduction when L > N/2, keeping the first N'
     evaluation points and the first L' desired-symbol points.  Defaults
     follow the deterministic rule alpha_n = n - 1, f_j = N + j - 1 (with
-    the original N, so reduced and unreduced runs stay comparable).
+    the original N, so reduced and unreduced runs stay comparable); only
+    the kept prefixes are built, after N' + L' <= p is checked.
     """
     n2, l2 = reduce_servers(n, l)
-    alpha = tuple(range(n)) if alpha is None else tuple(int(x) for x in alpha)
-    f = tuple(range(n, n + l)) if f is None else tuple(int(x) for x in f)
-    beta = (1,) * n if beta is None else tuple(int(x) for x in beta)
+    check_room(field, n2, l2)
+    alpha = tuple(range(n2)) if alpha is None else tuple(alpha)
+    f = tuple(range(n, n + l2)) if f is None else tuple(f)
+    beta = (1,) * n2 if beta is None else tuple(beta)
     if len(alpha) < n2 or len(f) < l2 or len(beta) < n2:
         raise ParameterError("not enough points supplied for the reduced scheme")
     return QcsaParams(field, n2, l2, alpha[:n2], beta[:n2], f[:l2])

@@ -278,3 +278,34 @@ def test_module_entry_point():
 def test_usage_errors_exit_2():
     assert run_cli("construct", "--p", "5", "--N", "2") == 2  # missing --L
     assert run_cli("nonsense") == 2
+
+
+HUGE = str(10**20)  # past 2**63
+OVERSIZED_INPUTS = {
+    "construct-alpha-past-int64": ("construct", "--p", "13", "--N", "4", "--L", "1",
+                                   "--alpha", f"0,1,2,{HUGE}"),
+    "simulate-u-past-int64": ("simulate", "--p", "13", "--N", "4", "--L", "1",
+                              "--u", f"1,1,1,{HUGE}"),
+    "construct-N-past-p": ("construct", "--p", "13", "--N", "3000000000", "--L", "1"),
+    "simulate-N-past-p": ("simulate", "--p", "13", "--N", "3000000000", "--L", "1"),
+    "construct-N-past-p-negative-L": ("construct", "--p", "13", "--N", "3000000000",
+                                      "--L", "-2999999990"),
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_INPUTS.values(), ids=OVERSIZED_INPUTS)
+def test_oversized_inputs_are_parameter_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_checks_room_at_the_reduced_point(tmp_path):
+    # N + L = 18 > 13, but the reduced scheme (N', L') = (4, 2) fits in GF(13).
+    out = tmp_path / "trials.jsonl"
+    assert run_cli("simulate", "--p", "13", "--N", "10", "--L", "8",
+                   "--trials", "5", "--out", str(out)) == 0
+    summary = json.loads(out.read_text().splitlines()[-1])
+    assert summary["params"]["alpha"] == [0, 1, 2, 3] and summary["params"]["f"] == [10, 11]
+    assert run_cli("simulate", "--p", "5", "--N", "10", "--L", "8", "--out", str(out)) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,27 @@ def test_params_default_and_random():
     drawn = QcsaParams.random(GF13, 5, 2, rng)
     assert len(set(drawn.alpha + drawn.f)) == 7
     assert all(b != 0 for b in drawn.beta)
+
+
+def test_random_params_at_the_largest_modulus_use_little_memory():
+    field = PrimeField(2**31 - 1)
+    rng = np.random.default_rng(48)
+    tracemalloc.start()
+    try:
+        drawn = QcsaParams.random(field, 64, 32, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = drawn.alpha + drawn.f
+    assert len(points) == 96 and len(set(points)) == 96
+    assert all(type(x) is int and 0 <= x < field.p for x in points)
+    assert all(0 < b < field.p for b in drawn.beta)
+    assert peak < 2**20
+
+
+def test_random_params_reject_a_field_too_small():
+    with pytest.raises(ParameterError, match="fewer than N \\+ L = 6"):
+        QcsaParams.random(GF5, 4, 2, np.random.default_rng(49))
 
 
 def test_params_serialization_round_trip():

@@ -333,16 +333,6 @@ def reference_verify_box(box) -> dict:
     return checks
 
 
-def _differential_params(field, n, l, rng):
-    if field.p < 10**6:
-        return QcsaParams.random(field, n, l, rng)
-    while True:  # a permutation of GF(2^31 - 1) would take gigabytes
-        points = rng.integers(0, field.p, size=n + l)
-        if len(set(points.tolist())) == n + l:
-            beta = rng.integers(1, field.p, size=n)
-            return QcsaParams(field, n, l, tuple(points[:n]), tuple(beta), tuple(points[n:]))
-
-
 def _tampered_boxes(box, rng):
     """One bumped entry and one zeroed column in each of M, G and H."""
     for name in ("M", "G", "H"):
@@ -362,7 +352,7 @@ DIFFERENTIAL_GRID = GRID + [(n, l, 2**31 - 1) for n, l in PAIR_GRID]
 def test_channel_and_checks_match_reference_formulas(n, l, q):
     field = PrimeField(q)
     rng = np.random.default_rng((75, n, l, q))
-    for params in (QcsaParams.default(field, n, l), _differential_params(field, n, l, rng)):
+    for params in (QcsaParams.default(field, n, l), QcsaParams.random(field, n, l, rng)):
         system = build_qcsa_system(params)
         assert system.box.M == reference_channel(system)
         assert selector_row_indices(n, l) == gh_column_permutation(n, l).image[n:]
@@ -374,7 +364,7 @@ def test_verify_system_gathers_what_the_permutation_matrix_multiplies():
     rng = np.random.default_rng(76)
     for n, l, q in GRID[::5]:
         field = PrimeField(q)
-        system = build_qcsa_system(_differential_params(field, n, l, rng))
+        system = build_qcsa_system(QcsaParams.random(field, n, l, rng))
         bd = block_diag([system.qu, system.qv])
         gh = hstack([system.box.G, system.box.H])
         for pi in (system.box.pi, Permutation(rng.permutation(2 * n) + 1)):
@@ -382,3 +372,32 @@ def test_verify_system_gathers_what_the_permutation_matrix_multiplies():
             assert checks["gh_is_permuted_blockdiag"] == (
                 gh == bd @ permutation_matrix(field, pi)
             )
+
+
+def dense_symplectic_orthogonal(g) -> bool:
+    """G^T J G = 0 with the 2N x 2N symplectic form written out."""
+    return (g.T @ symplectic_form(g.field, g.cols) @ g).is_zero()
+
+
+def dense_selector_identity(system) -> bool:
+    """M @ Block-Diag(Qu, Qv) == selector, with the zero blocks multiplied."""
+    params = system.params
+    bd = block_diag([system.qu, system.qv])
+    return system.box.M @ bd == selector_matrix(params.field, params.N, params.L)
+
+
+@pytest.mark.parametrize("n,l,q", GRID)
+def test_block_checks_match_dense_formulas(n, l, q):
+    field = PrimeField(q)
+    rng = np.random.default_rng((77, n, l, q))
+    seen = set()
+    for params in (QcsaParams.default(field, n, l), QcsaParams.random(field, n, l, rng)):
+        system = build_qcsa_system(params)
+        for box in (system.box, *_tampered_boxes(system.box, rng)):
+            dense = dense_symplectic_orthogonal(box.G)
+            assert verify_box(box)["g_symplectic_orthogonal"] == dense
+            assert is_sso(box.G) == (box.G.rank() == n and dense)
+            selector = verify_system(replace(system, box=box))["selector_identity"]
+            assert selector == dense_selector_identity(replace(system, box=box))
+            seen.add((dense, selector))
+    assert seen >= {(True, True), (True, False)}

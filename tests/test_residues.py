@@ -1,0 +1,100 @@
+"""Differential tests of the vectorised residue coercion.
+
+``loop_as_residue_vector`` is the per-element loop the package used while
+it still had a scalar element type, minus the branch for that type; the
+numpy version must agree with it exactly wherever the loop accepts input.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from qcsa.field import MAX_MODULUS, PrimeField, next_prime
+from qcsa.matrix import FieldMatrix, as_residue_vector
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def loop_as_residue_vector(field, values, length=None):
+    items = list(values)
+    arr = np.array([int(x) for x in items], dtype=np.int64) % field.p
+    if length is not None and arr.shape[0] != length:
+        raise ValueError(f"expected a vector of length {length}, got {arr.shape[0]}")
+    return arr
+
+
+fields = st.one_of(
+    st.sampled_from([2, 3, 5, 13, 65521, MAX_MODULUS]),
+    st.integers(2, MAX_MODULUS).map(next_prime),
+).map(PrimeField)
+int_lists = st.lists(st.integers(-2**62, 2**62 - 1), max_size=40)
+int64_arrays = hnp.arrays(np.int64, st.integers(0, 40))
+
+
+def assert_same(field, values, length=None):
+    expected = loop_as_residue_vector(field, values, length)
+    got = as_residue_vector(field, values, length)
+    assert got.dtype == expected.dtype == np.int64
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    return got
+
+
+@SETTINGS
+@given(fields, st.one_of(int_lists, int64_arrays))
+def test_coercion_matches_the_loop(field, values):
+    got = assert_same(field, values)
+    assert got.ndim == 1 and (got.size == 0 or (got.min() >= 0 and got.max() < field.p))
+
+
+@SETTINGS
+@given(fields, int64_arrays)
+def test_coercion_never_aliases_its_input(field, values):
+    before = values.copy()
+    got = as_residue_vector(field, values)
+    got[...] = 0
+    assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("values", [[], (), np.zeros(0, dtype=np.int64)], ids=["list", "tuple", "array"])
+def test_empty_input(values):
+    got = assert_same(PrimeField(7), values, 0)
+    assert got.shape == (0,)
+
+
+@SETTINGS
+@given(fields, int_lists, st.integers(0, 41))
+def test_length_check_matches_the_loop(field, values, length):
+    if length == len(values):
+        assert_same(field, values, length)
+        return
+    for coerce in (loop_as_residue_vector, as_residue_vector):
+        with pytest.raises(ValueError, match=f"length {length}, got {len(values)}"):
+            coerce(field, values, length)
+
+
+@SETTINGS
+@given(fields, st.integers(1, 5), st.integers(2, 5), st.data())
+def test_two_dimensional_input_is_rejected(field, rows, cols, data):
+    values = data.draw(hnp.arrays(np.int64, (rows, cols)))
+    for nested in (values, values.tolist()):
+        with pytest.raises((TypeError, ValueError)):
+            loop_as_residue_vector(field, nested)
+        with pytest.raises(ValueError, match="1-D"):
+            as_residue_vector(field, nested)
+
+
+@pytest.mark.parametrize("values", [5, np.int64(5), [[1]], np.ones((1, 1), dtype=np.int64)])
+def test_non_vectors_are_rejected(values):
+    with pytest.raises(ValueError, match="1-D"):
+        as_residue_vector(PrimeField(7), values)
+
+
+@SETTINGS
+@given(fields, st.integers(0, 6), st.integers(0, 6), st.data())
+def test_matrix_dict_round_trip(field, rows, cols, data):
+    m = FieldMatrix(field, data.draw(hnp.arrays(np.int64, (rows, cols))))
+    doc = m.to_dict()
+    assert all(type(x) is int for x in doc["data"])
+    assert FieldMatrix.from_dict(doc) == m
