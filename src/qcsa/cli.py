@@ -164,7 +164,10 @@ def cmd_simulate(args) -> int:
     params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
     if args.trials < 0:
         raise ParameterError("--trials must be nonnegative")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
     summary = run_trials(params, args.seed, args.trials)
+    failure = _first_failure(summary["reports"])
     lines = [json.dumps(row, sort_keys=True) for row in summary.pop("reports")]
     summary["reduced"] = (params.N, params.L) != (args.N, args.L)
     summary["requested"] = {"N": args.N, "L": args.L}
@@ -176,7 +179,21 @@ def cmd_simulate(args) -> int:
         f"({params.N} qudits per trial for {2 * params.L} desired symbols)",
         file=sys.stderr,
     )
+    if failure is not None:
+        print(failure, file=sys.stderr)
     return 0 if summary["passed"] == summary["trials"] else 1
+
+
+def _first_failure(reports) -> str | None:
+    """Where the first failing trial's y departs from its prediction, if any."""
+    row = next((row for row in reports if not row["pass"]), None)
+    if row is None:
+        return None
+    y, expected = row["y"], row["expected"]
+    i = next(i for i in range(len(y)) if y[i] != expected[i])
+    seed, t = row["seed"]
+    return (f"first failing trial: (seed, t) = ({seed}, {t}); "
+            f"y[{i}] = {y[i]}, expected {expected[i]}")
 
 
 _RATE_COLUMNS = ["N", "L", "N'", "L'", "R_C", "R_Q", "dits_per_symbol",

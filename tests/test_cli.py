@@ -3,10 +3,16 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from qcsa.cli import DEFAULT_SEED, OUTPUT_DIR_ENV, main
+from qcsa.codes import QcsaParams
+from qcsa.field import PrimeField
+from qcsa.matrix import FieldMatrix
+from qcsa.nsumbox import build_qcsa_system
+from qcsa.scheme import qcsa_roundtrip
 
 
 def run_cli(*argv):
@@ -150,6 +156,61 @@ DIGEST_IDS = ["-".join(args[1:6:2]) + ("-points" if len(args) > 6 else "")
 def test_construct_bytes_are_pinned(capsys, args, digest):
     assert run_cli("construct", *args) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `qcsa simulate --out` JSONL, recorded from the engine that ran
+# one qcsa_roundtrip per trial, so they hold the batched engine to the
+# same bytes.
+SIMULATE_DIGESTS = [
+    (("--p", "13", "--N", "10", "--L", "8"),
+     "6c0f5b8b80a448c7ad57a89e4f27bca0261167f547810f0014bac98bffd15129"),
+    (("--p", "3", "--N", "2", "--L", "1", "--trials", "30"),
+     "d4dee34b28264e8e5e1fe6fd07aae742560b245cea0dd5dc2e9d16343cf90838"),
+    (("--p", "101", "--N", "7", "--L", "2", "--seed", "5"),
+     "9c7aa6084e19cf2b4647a4c2e3ac40aa62386cc81ab1d05b34678137f73e7f3a"),
+    (("--p", "65521", "--N", "12", "--L", "5", "--trials", "40"),
+     "c77de6d015cf7e00fec2b8466134f51af68e4622cadc0f0611e109b2ecaebb2f"),
+    (("--p", "19", "--N", "8", "--L", "4"),
+     "6f6548964595d83224178304747a1c56ec17e9736ca6ebdf5edf4f57fd48207f"),
+    (("--p", "2147483647", "--N", "64", "--L", "32", "--trials", "50"),
+     "81b72aeb6a2195230abd319b8d382d74501df13ed1db84400fad4bae9c898f93"),
+    (("--p", "101", "--N", "5", "--L", "2", "--alpha", "7,3,50,11,99", "--f", "20,64",
+      "--u", "5,17,1,88,42", "--seed", "3", "--trials", "20"),
+     "30c0ec7faa2738d95d008274647d05a3e67715f585e47cd56c7217105e8a0c50"),
+]
+SIMULATE_IDS = ["-".join(args[1:6:2]) + ("-points" if "--alpha" in args else "")
+                for args, _ in SIMULATE_DIGESTS]
+
+
+@pytest.mark.parametrize("args,digest", SIMULATE_DIGESTS, ids=SIMULATE_IDS)
+def test_simulate_bytes_are_pinned(tmp_path, capsys, args, digest):
+    out = tmp_path / "trials.jsonl"
+    assert run_cli("simulate", *args, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().err.count("\n") == 1  # the summary line and nothing else
+
+
+def test_simulate_names_the_first_failing_trial(tmp_path, capsys, monkeypatch):
+    params = QcsaParams.default(PrimeField(13), 6, 2)
+    system = build_qcsa_system(params)
+    bumped = system.box.M.array.copy()
+    bumped[3, 7] += 1
+    tampered = replace(system, box=replace(system.box, M=FieldMatrix(params.field, bumped)))
+    monkeypatch.setattr("qcsa.scheme.build_qcsa_system", lambda _: tampered)
+    out = tmp_path / "trials.jsonl"
+    assert run_cli("simulate", "--p", "13", "--N", "6", "--L", "2", "--seed", "8",
+                   "--trials", "20", "--out", str(out)) == 1
+    *rows, summary = map(json.loads, out.read_text().splitlines())
+    assert 0 < summary["passed"] < 20
+    t = next(t for t in range(20) if not qcsa_roundtrip(params, (8, t), tampered).passed)
+    result = qcsa_roundtrip(params, (8, t), tampered)
+    assert [row["pass"] for row in rows].index(False) == t
+    # Only row 3 of M_Q changed, so y first departs from the prediction there.
+    assert result.y[:3] == result.expected[:3] and result.y[3] != result.expected[3]
+    summary_line, failure = capsys.readouterr().err.splitlines()
+    assert summary_line.startswith(f"{summary['passed']}/20 trials passed")
+    assert failure == (f"first failing trial: (seed, t) = (8, {t}); "
+                       f"y[3] = {result.y[3]}, expected {result.expected[3]}")
 
 
 def _set(path, transform):
@@ -298,6 +359,17 @@ def test_oversized_inputs_are_parameter_errors(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert run_cli(*argv, "--out", str(out)) == 2
     assert "internal error" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_is_a_parameter_error(tmp_path, capsys):
+    # default_rng((seed, t)) rejects a negative seed; this once left the CLI
+    # as "internal error", exit 1.
+    out = tmp_path / "trials.jsonl"
+    assert run_cli("simulate", "--p", "13", "--N", "4", "--L", "2", "--seed", "-1",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "internal error" not in err
     assert not out.exists()
 
 

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qcsa import scheme
 from qcsa.codes import ParameterError, QcsaParams, csa_matrix
 from qcsa.field import PrimeField
 from qcsa.matrix import FieldMatrix, block_diag
@@ -18,6 +20,8 @@ from qcsa.scheme import (
     run_trials,
     server_scale,
 )
+
+from test_acceptance import GRID, PAIR_GRID
 
 GF5 = PrimeField(5)
 GF13 = PrimeField(13)
@@ -192,6 +196,47 @@ def test_run_trials_counts_and_replays():
     assert summary == again
     empty = run_trials(params, 21, 0)
     assert empty["passed"] == 0 and empty["reports"] == []
+
+
+DIFFERENTIAL_GRID = GRID + [(n, l, 2**31 - 1) for n, l in PAIR_GRID]
+
+
+def _bumped_channel(system, rng):
+    """The system with one entry of M_Q raised by one."""
+    bumped = system.box.M.array.copy()
+    i, j = (int(rng.integers(k)) for k in bumped.shape)
+    bumped[i, j] += 1
+    return replace(system, box=replace(system.box, M=FieldMatrix(system.params.field, bumped)))
+
+
+@pytest.mark.parametrize("n,l,q", DIFFERENTIAL_GRID)
+def test_run_trials_matches_the_single_trial_reference(n, l, q, monkeypatch):
+    field = PrimeField(q)
+    rng = np.random.default_rng((n, l, q))
+    for params in (QcsaParams.default(field, n, l), QcsaParams.random(field, n, l, rng)):
+        system = build_qcsa_system(params)
+        reference = [qcsa_roundtrip(params, (5, t), system).to_dict() for t in range(37)]
+        for trials in (0, 1, 37):
+            summary = run_trials(params, 5, trials, system)
+            assert summary["reports"] == reference[:trials]
+            assert summary["passed"] == trials
+        monkeypatch.setattr(scheme, "TRIAL_BLOCK", 16)  # blocks of 16, 16 and 5 trials
+        assert run_trials(params, 5, 37, system)["reports"] == reference
+        monkeypatch.undo()
+        tampered = _bumped_channel(system, rng)
+        summary = run_trials(params, 6, 37, tampered)
+        reference = [qcsa_roundtrip(params, (6, t), tampered) for t in range(37)]
+        assert summary["reports"] == [r.to_dict() for r in reference]
+        assert summary["passed"] == sum(r.passed for r in reference) < 37
+
+
+@pytest.mark.parametrize("n,l,q", DIFFERENTIAL_GRID)
+def test_one_draw_of_2n_symbols_equals_the_four_instance_draws(n, l, q):
+    params = QcsaParams.default(PrimeField(q), n, l)
+    for seed in ((0, 0), (1729, 1), (1729, 36), (2**40, 999)):
+        i1, i2 = make_instances(params, seed)
+        one_draw = np.random.default_rng(seed).integers(0, q, size=2 * n)
+        assert one_draw.tolist() == list(i1.delta + i1.nu + i2.delta + i2.nu)
 
 
 def test_reduce_servers_examples():
