@@ -40,15 +40,18 @@ def _int_list(text: str) -> tuple:
 
 
 def _int_range(text: str) -> tuple:
-    """A single value 'n' or an inclusive range 'a:b'."""
+    """A single value 'n' or an inclusive range 'a:b' with a <= b."""
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            return int(lo), int(hi)
-        value = int(text)
-        return value, value
+            lo, hi = int(lo), int(hi)
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected N or A:B, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: A must not exceed B")
+    return lo, hi
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -209,6 +212,8 @@ def cmd_rates(args) -> int:
         l_lo, l_hi = args.L if args.L is not None else (1, n - 1)
         for l in range(max(1, l_lo), min(n - 1, l_hi) + 1):
             rows.append(rate_report(n, l).to_dict())
+    if not rows:  # only a --L filter can empty the grid, since N >= 2
+        raise ParameterError(f"--N {n_lo}:{n_hi} --L {l_lo}:{l_hi} selects no pair with 1 <= L < N")
     if args.format == "json":
         text = _json_dumps(rows)
     else:

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .field import PrimeField
-from .matrix import FieldMatrix, as_residue_vector, json_int, json_ints
+from .matrix import FieldMatrix, as_residue_vector, inverse_residues, json_int, json_ints
 
 
 class ParameterError(ValueError):
@@ -119,9 +119,8 @@ def _validate_points(field: PrimeField, alpha, f) -> tuple:
 def _csa_cached(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
     field, n, l = PrimeField(p), len(alpha), len(f)
     out = np.zeros((n, n), dtype=np.int64)
-    for j, fj in enumerate(f):
-        for i, ai in enumerate(alpha):
-            out[i, j] = pow(fj - ai, -1, p)
+    diffs = np.array(f, dtype=np.int64)[None, :] - np.array(alpha, dtype=np.int64)[:, None]
+    out[:, :l] = inverse_residues(diffs, p)
     out[:, l:] = grs_generator(GrsSpec(field, n, n - l, alpha, (1,) * n)).array
     return FieldMatrix(field, out)
 

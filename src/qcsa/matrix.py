@@ -3,23 +3,40 @@
 A :class:`FieldMatrix` wraps a read-only numpy int64 array of canonical
 residues together with its :class:`~qcsa.field.PrimeField`; a vector is a
 plain 1-D int64 residue array (:func:`as_residue_vector`) and a single
-entry a plain ``int``.  All kernels reduce eagerly, and long dot products
-are accumulated in chunks sized so that no intermediate ever overflows 64
-bits (a single product fits because moduli are capped at 2**31 - 1).
+entry a plain ``int``.
+
+Every product runs on float64 BLAS and stays exact.  A float64 sum of
+nonnegative integers is exact below 2**53, so when the inner dimension k
+satisfies k * (p-1)**2 < 2**53 one float64 product does.  Otherwise both
+operands split into 16-bit limbs (lo < 2**16, hi < 2**15, since moduli are
+capped at 2**31 - 1) and three float64 products, lo.lo, hi.hi and the
+cross term [lo hi].[hi; lo], are each exact while 2k * 2**32 < 2**53; k is
+chunked beyond that.  The limb sums are recombined in int64 as
+hh * (2**32 mod p) + cross * 2**16 + ll, with hh and cross reduced first.
+
+Inverse and rank share one blocked Gauss-Jordan row reduction.  Columns
+are taken in panels of ``ELIM_BLOCK``: pivots are found on the tall panel
+alone, and the rest of the matrix is updated by products through the
+kernel above.  A matrix no wider than one panel gets a single unblocked
+pass.  The pivot rule is fixed (first nonzero entry in column order), so
+inverses, ranks and error cases are deterministic.
 
 Shapes with zero rows or zero columns are legal values throughout: the
 channel construction produces identity blocks whose width can vanish, and
 block assembly must absorb them silently.
-
-Elimination uses a fixed pivot rule (first nonzero entry in column order)
-so inverses, ranks, and error cases are deterministic.
 """
 
 import numpy as np
 
 from .field import FieldMismatchError, PrimeField
 
-_I64_MAX = 2**63 - 1
+_F64_EXACT = 2**53
+_LIMB_BITS = 16
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# Largest k with 2k * 2**32 < 2**53.
+_LIMB_CHUNK = 2**20 - 1
+# Column width of one elimination panel; a matrix no wider gets one unblocked pass.
+ELIM_BLOCK = 32
 
 
 class SingularMatrixError(ArithmeticError):
@@ -27,20 +44,86 @@ class SingularMatrixError(ArithmeticError):
 
 
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p without int64 overflow."""
+    """Exact (a @ b) mod p for residue arrays, on float64 BLAS products."""
     inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    # Largest number of (p-1)^2 products that can pile up next to an
-    # already-reduced partial sum without leaving int64.
-    step = (_I64_MAX - (p - 1)) // ((p - 1) ** 2) if p > 2 else inner
-    if step >= inner:
-        return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(0, inner, step):
-        out += a[:, k:k + step] @ b[k:k + step, :]
-        out %= p
+    if inner * (p - 1) ** 2 < _F64_EXACT:
+        return np.matmul(a, b, dtype=np.float64).astype(np.int64) % p
+    out = 0
+    shift = pow(2, 2 * _LIMB_BITS, p)
+    for k in range(0, inner, _LIMB_CHUNK):
+        a_k, b_k = a[:, k:k + _LIMB_CHUNK], b[k:k + _LIMB_CHUNK]
+        width = a_k.shape[1]
+        lo_hi = np.concatenate((a_k & _LIMB_MASK, a_k >> _LIMB_BITS), axis=1).astype(np.float64)
+        hi_lo = np.concatenate((b_k >> _LIMB_BITS, b_k & _LIMB_MASK)).astype(np.float64)
+        # ll < k * 2**32 < 2**52 needs no reduction: the sum stays below 2**63.
+        ll = (lo_hi[:, :width] @ hi_lo[width:]).astype(np.int64)
+        hh = (lo_hi[:, width:] @ hi_lo[:width]).astype(np.int64) % p
+        cross = (lo_hi @ hi_lo).astype(np.int64) % p
+        out = (out + hh * shift + (cross << _LIMB_BITS) + ll) % p
     return out
+
+
+def _eliminate(a: np.ndarray, p: int, stop: int) -> tuple:
+    """Unblocked Gauss-Jordan on ``a`` in place, pivoting on columns [0, stop).
+
+    The pivot of each column is its first nonzero entry at or below the
+    next pivot row.  Returns the pivot columns and the row swaps, in order.
+    """
+    rows = a.shape[0]
+    pivots, swaps = [], []
+    for col in range(stop):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+            swaps.append((r, piv))
+        # Row r is zero left of col, so the update only needs columns col on.
+        tail = a[:, col:]
+        tail[r] = tail[r] * pow(int(tail[r, 0]), -1, p) % p
+        factors = tail[:, 0].copy()
+        factors[r] = 0
+        tail -= np.outer(factors, tail[r])
+        tail %= p
+        pivots.append(col)
+    return pivots, swaps
+
+
+def _row_reduce(a: np.ndarray, p: int, stop: int) -> list:
+    """Reduced row echelon form of ``a`` in place, pivoting on columns [0, stop).
+
+    Columns are taken ELIM_BLOCK at a time.  For each panel, pivots are
+    found on a copy of its rows below the pivots so far (the same pivots the
+    unblocked pass would choose), swapped into place, and the pivot block
+    is inverted; then one product normalizes the pivot rows and one more
+    clears the panel's pivot columns from every other row.  Returns the
+    pivot columns.
+    """
+    if stop <= ELIM_BLOCK:
+        return _eliminate(a, p, stop)[0]
+    pivots = []
+    for c0 in range(0, stop, ELIM_BLOCK):
+        r = len(pivots)
+        panel = a[r:, c0:min(c0 + ELIM_BLOCK, stop)].copy()
+        found, swaps = _eliminate(panel, p, panel.shape[1])
+        if not found:
+            continue
+        for i, j in swaps:
+            a[[r + i, r + j]] = a[[r + j, r + i]]
+        k, cols = len(found), [c0 + j for j in found]
+        block = np.hstack([a[r:r + k, cols], np.eye(k, dtype=np.int64)])
+        _eliminate(block, p, k)
+        top = _mod_matmul(block[:, k:], a[r:r + k, c0:], p)
+        rest = a[:, c0:]
+        rest -= _mod_matmul(a[:, cols], top, p)
+        rest %= p
+        rest[r:r + k] = top
+        pivots += cols
+    return pivots
 
 
 def as_residue_vector(field: PrimeField, values, length: int | None = None) -> np.ndarray:
@@ -51,6 +134,31 @@ def as_residue_vector(field: PrimeField, values, length: int | None = None) -> n
     if length is not None and arr.shape[0] != length:
         raise ValueError(f"expected a vector of length {length}, got {arr.shape[0]}")
     return arr % field.p
+
+
+def inverse_residues(values: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverses of nonzero residues with one ``pow`` (Montgomery's trick).
+
+    A product tree multiplies neighbours level by level up to a single
+    product, the only value inverted directly; on the way back down each
+    entry's inverse is its parent's inverse times its sibling.  A zero
+    entry makes that product zero, and ``pow`` raises ValueError.
+    """
+    level = np.asarray(values, dtype=np.int64).ravel() % p
+    levels = []
+    while level.size > 1:
+        if level.size % 2:
+            level = np.append(level, 1)
+        levels.append(level)
+        level = level[0::2] * level[1::2] % p
+    inv = np.array([pow(x, -1, p) for x in level.tolist()], dtype=np.int64)
+    for level in reversed(levels):
+        inv = inv[:level.size // 2]
+        down = np.empty_like(level)
+        down[0::2] = inv * level[1::2] % p
+        down[1::2] = inv * level[0::2] % p
+        inv = down
+    return inv[:np.size(values)].reshape(np.shape(values))
 
 
 def json_int(value, key: str) -> int:
@@ -213,42 +321,13 @@ class FieldMatrix:
             raise ValueError(f"only square matrices can be inverted, got {self.shape}")
         n, p = self.rows, self.field.p
         aug = np.hstack([self._data, np.eye(n, dtype=np.int64)])
-        for col in range(n):
-            nz = np.nonzero(aug[col:, col])[0]
-            if nz.size == 0:
-                raise SingularMatrixError(f"matrix is singular over GF({p})")
-            piv = col + int(nz[0])
-            if piv != col:
-                aug[[col, piv]] = aug[[piv, col]]
-            aug[col] = aug[col] * pow(int(aug[col, col]), -1, p) % p
-            others = np.nonzero(aug[:, col])[0]
-            others = others[others != col]
-            if others.size:
-                aug[others] = (aug[others] - np.outer(aug[others, col], aug[col])) % p
+        if len(_row_reduce(aug, p, n)) < n:
+            raise SingularMatrixError(f"matrix is singular over GF({p})")
         return FieldMatrix(self.field, aug[:, n:])
 
     def rank(self) -> int:
         """Pivot count of the row echelon form."""
-        a = self._data.copy()
-        p = self.field.p
-        rows, cols = a.shape
-        r = 0
-        for col in range(cols):
-            if r == rows:
-                break
-            nz = np.nonzero(a[r:, col])[0]
-            if nz.size == 0:
-                continue
-            piv = r + int(nz[0])
-            if piv != r:
-                a[[r, piv]] = a[[piv, r]]
-            a[r] = a[r] * pow(int(a[r, col]), -1, p) % p
-            below = np.nonzero(a[r + 1:, col])[0]
-            if below.size:
-                idx = below + r + 1
-                a[idx] = (a[idx] - np.outer(a[idx, col], a[r])) % p
-            r += 1
-        return r
+        return len(_row_reduce(self._data.copy(), self.field.p, self.cols))
 
     # -- comparison and serialization ---------------------------------------
 

@@ -317,6 +317,26 @@ def test_rates_table_json_with_l_filter(tmp_path):
     assert [(r["N"], r["L"]) for r in rows] == [(4, 1), (4, 2)]
 
 
+EMPTY_RATE_SELECTIONS = {
+    "reversed-N": (("--N", "3:2"), "argument --N: empty range '3:2'"),
+    "reversed-L": (("--N", "2:3", "--L", "5:1", "--format", "json"),
+                   "argument --L: empty range '5:1'"),
+    "L-past-N": (("--N", "4", "--L", "9"),
+                 "invalid parameters: --N 4:4 --L 9:9 selects no pair with 1 <= L < N"),
+    "L-zero": (("--N", "2:3", "--L", "0"),
+               "invalid parameters: --N 2:3 --L 0:0 selects no pair with 1 <= L < N"),
+}
+
+
+@pytest.mark.parametrize("argv,message", EMPTY_RATE_SELECTIONS.values(),
+                         ids=EMPTY_RATE_SELECTIONS)
+def test_rates_rejects_an_empty_selection(tmp_path, capsys, argv, message):
+    out = tmp_path / "rates.csv"
+    assert run_cli("rates", *argv, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
     assert run_cli("rates", "--N", "3", "--out", "env_rates.csv") == 0
