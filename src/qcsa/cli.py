@@ -6,7 +6,11 @@ trials), rates (exact rate tables over a parameter grid).
 
 Exit codes: 0 success, 1 internal failure or failed checks/trials,
 2 invalid parameters, 3 malformed input file.  Output is deterministic
-for a fixed argument list, seed included, so runs can be diffed.
+for a fixed argument list, seed included, so runs can be diffed.  A
+bundle, or a JSON rate table, is byte for byte
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` and a JSONL line
+``json.dumps(row, sort_keys=True)``; the writers below emit those layouts
+directly, since ``indent`` sends ``json`` to its pure-Python encoder.
 """
 
 import argparse
@@ -15,11 +19,14 @@ import io
 import json
 import os
 import sys
+from itertools import chain
+
+import numpy as np
 
 from .codes import ParameterError, QcsaParams, check_room, qcsa_matrix
 from .field import PrimeField
 from .nsumbox import QcsaSystem, build_qcsa_system, verify_system
-from .scheme import rate_report, reduced_params, run_trials
+from .scheme import TRIAL_BLOCK, rate_report, reduced_params, run_trials
 
 DEFAULT_SEED = 1729
 OUTPUT_DIR_ENV = "QCSA_OUTPUT_DIR"
@@ -63,16 +70,51 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, chunks) -> None:
+    """Write the strings of ``chunks`` in order, to ``path`` or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json_chunks(value, pad: str = ""):
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, in pieces.
+
+    An integer array is a leaf written as a flat JSON list in row-major
+    order: one ``tolist`` and one ``%d`` format for the whole array.  Dicts
+    go by sorted key and lists and tuples item by item, as in ``json``;
+    scalars and empty containers go through ``json.dumps``.
+    """
+    inner = pad + "  "
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        entries = value.ravel().tolist()
+        sep = ",\n" + inner
+        body = sep.join(["%d"] * len(entries)) % tuple(entries)
+        yield f"[\n{inner}{body}\n{pad}]" if entries else "[]"
+    elif isinstance(value, dict) and value:
+        sep = "{\n"
+        for key in sorted(value):
+            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(value[key], inner)
+            sep = ",\n"
+        yield f"\n{pad}}}"
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n"
+        for item in value:
+            yield sep + inner
+            yield from _json_chunks(item, inner)
+            sep = ",\n"
+        yield f"\n{pad}]"
+    else:
+        yield json.dumps(value)
+
+
+def _json_document(value):
+    """The bytes of ``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, in pieces."""
+    yield from _json_chunks(value)
+    yield "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,11 +174,11 @@ def cmd_construct(args) -> int:
     f = args.f if args.f is not None else tuple(range(args.N, args.N + args.L))
     params = QcsaParams(field, args.N, args.L, alpha, u, f)
     system = build_qcsa_system(params)
-    bundle = system.to_dict()
+    bundle = system.to_dict(arrays=True)
     bundle["seed"] = args.seed
     if args.beta is not None:
-        bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta)).to_dict()
-    _write_text(_resolve_out(args.out), _json_dumps(bundle))
+        bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta)).to_dict(arrays=True)
+    _write_text(_resolve_out(args.out), _json_document(bundle))
     return 0
 
 
@@ -144,7 +186,8 @@ def _load_bundle(path: str) -> QcsaSystem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers past int()'s digit limit.
         raise BundleFormatError(f"cannot read bundle {path}: {exc}")
     try:
         return QcsaSystem.from_dict(doc)
@@ -170,12 +213,12 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
     summary = run_trials(params, args.seed, args.trials)
-    failure = _first_failure(summary["reports"])
-    lines = [json.dumps(row, sort_keys=True) for row in summary.pop("reports")]
+    rows = summary.pop("reports")
+    failure = _first_failure(rows)
     summary["reduced"] = (params.N, params.L) != (args.N, args.L)
     summary["requested"] = {"N": args.N, "L": args.L}
-    lines.append(json.dumps(summary, sort_keys=True))
-    _write_text(_resolve_out(args.out), "".join(line + "\n" for line in lines))
+    _write_text(_resolve_out(args.out),
+                chain(_jsonl_rows(rows), [json.dumps(summary, sort_keys=True) + "\n"]))
     print(
         f"{summary['passed']}/{summary['trials']} trials passed at "
         f"N={params.N} L={params.L} q={field.p} "
@@ -185,6 +228,26 @@ def cmd_simulate(args) -> int:
     if failure is not None:
         print(failure, file=sys.stderr)
     return 0 if summary["passed"] == summary["trials"] else 1
+
+
+def _jsonl_rows(rows):
+    """``json.dumps(row, sort_keys=True) + "\\n"`` for each trial row, a block at a time.
+
+    Every row of a run holds the same ``params`` and ``costs``, so each is
+    encoded once.  The rest of a row is two int lists, ``seed`` and a bool,
+    and ``str`` of an int list is already its JSON.
+    """
+    if not rows:
+        return
+    params = json.dumps(rows[0]["params"], sort_keys=True)
+    costs = json.dumps(rows[0]["costs"], sort_keys=True)
+    for first in range(0, len(rows), TRIAL_BLOCK):
+        yield "".join(
+            f'{{"costs": {costs}, "expected": {row["expected"]}, "params": {params}, '
+            f'"pass": {"true" if row["pass"] else "false"}, "seed": {row["seed"]}, '
+            f'"y": {row["y"]}}}\n'
+            for row in rows[first:first + TRIAL_BLOCK]
+        )
 
 
 def _first_failure(reports) -> str | None:
@@ -215,14 +278,14 @@ def cmd_rates(args) -> int:
     if not rows:  # only a --L filter can empty the grid, since N >= 2
         raise ParameterError(f"--N {n_lo}:{n_hi} --L {l_lo}:{l_hi} selects no pair with 1 <= L < N")
     if args.format == "json":
-        text = _json_dumps(rows)
+        chunks = _json_document(rows)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_RATE_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-    _write_text(_resolve_out(args.out), text)
+        chunks = [buf.getvalue()]
+    _write_text(_resolve_out(args.out), chunks)
     return 0
 
 

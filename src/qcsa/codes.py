@@ -223,7 +223,7 @@ class QcsaParams:
     def from_dict(cls, doc: dict) -> "QcsaParams":
         """Strict inverse of :meth:`to_dict`: integers only, residues canonical."""
         field = PrimeField(json_int(doc["p"], "p"))
-        points = (tuple(json_ints(doc[key], key, 0, field.p)) for key in ("alpha", "beta", "f"))
+        points = (json_ints(doc[key], key, 0, field.p) for key in ("alpha", "beta", "f"))
         return cls(field, json_int(doc["N"], "N"), json_int(doc["L"], "L"), *points)
 
 

@@ -168,12 +168,25 @@ def json_int(value, key: str) -> int:
     return value
 
 
-def json_ints(values, key: str, lo: int, hi: int) -> list:
-    """A JSON list of integers in [lo, hi), checked before any conversion."""
+def json_ints(values, key: str, lo: int, hi: int) -> np.ndarray:
+    """A JSON list of integers in [lo, hi), as an int64 array.
+
+    The type pass comes first because numpy would accept what JSON must
+    not: ``np.array([1, True])`` is int64 ``[1, 1]``.  The range is then
+    checked on the array; an entry past int64 fails the conversion itself.
+    A failure is located entry by entry, so the error names the first bad one.
+    """
     if not isinstance(values, list):
         raise ValueError(f"{key} must be a list, got {type(values).__name__}")
-    if set(map(type, values)) <= {int} and (not values or (lo <= min(values) and max(values) < hi)):
-        return values
+    hi = min(hi, 2**63)  # every entry must fit in int64 as well
+    if set(map(type, values)) <= {int}:
+        try:
+            arr = np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            if not arr.size or (lo <= arr.min() and arr.max() < hi):
+                return arr
     i = next(i for i, x in enumerate(values) if type(x) is not int or not lo <= x < hi)
     raise ValueError(f"{key}[{i}] must be an integer in [{lo}, {hi}), got {values[i]!r}")
 
@@ -215,7 +228,7 @@ class FieldMatrix:
         data = json_ints(doc["data"], "data", 0, field.p)
         if rows < 0 or cols < 0 or len(data) != rows * cols:
             raise ValueError(f"data has {len(data)} entries, not rows x cols = {rows} x {cols}")
-        return cls(field, np.array(data, dtype=np.int64).reshape(rows, cols))
+        return cls(field, data.reshape(rows, cols))
 
     # -- basic properties ----------------------------------------------
 
@@ -340,12 +353,14 @@ class FieldMatrix:
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def to_dict(self) -> dict:
+    def to_dict(self, arrays: bool = False) -> dict:
+        """The entries in row-major order, as ints or, with ``arrays``, as one int64 array."""
+        data = self._data.ravel()
         return {
             "p": self.field.p,
             "rows": self.rows,
             "cols": self.cols,
-            "data": self._data.ravel().tolist(),
+            "data": data if arrays else data.tolist(),
         }
 
     def __repr__(self) -> str:
@@ -449,7 +464,7 @@ class Permutation:
     @classmethod
     def from_dict(cls, doc: dict) -> "Permutation":
         n = json_int(doc["n"], "n")
-        perm = cls(json_ints(doc["image"], "image", 1, n + 1))
+        perm = cls(json_ints(doc["image"], "image", 1, n + 1).tolist())
         if perm.n != n:
             raise ValueError("permutation length disagrees with its header")
         return perm

@@ -293,17 +293,18 @@ class QcsaSystem:
     def u(self) -> tuple:
         return self.params.beta
 
-    def to_dict(self) -> dict:
+    def to_dict(self, arrays: bool = False) -> dict:
+        """The bundle; with ``arrays`` each matrix keeps its entries as one int64 array."""
         return {
             "params": self.params.to_dict(),
             "u": list(self.u),
             "v": list(self.v),
-            "Qu": self.qu.to_dict(),
-            "Qv": self.qv.to_dict(),
-            "G": self.box.G.to_dict(),
-            "H": self.box.H.to_dict(),
+            "Qu": self.qu.to_dict(arrays),
+            "Qv": self.qv.to_dict(arrays),
+            "G": self.box.G.to_dict(arrays),
+            "H": self.box.H.to_dict(arrays),
             "pi": self.box.pi.to_dict() if self.box.pi is not None else None,
-            "M_Q": self.box.M.to_dict(),
+            "M_Q": self.box.M.to_dict(arrays),
         }
 
     @classmethod
@@ -313,9 +314,9 @@ class QcsaSystem:
         p, n = params.field.p, params.N
         qu, qv = (_matrix(doc, key, p, (n, n)) for key in ("Qu", "Qv"))
         box = _box_from_dict(doc, params.field, n, "M_Q")
-        if tuple(json_ints(doc["u"], "u", 0, p)) != params.beta:
+        if tuple(json_ints(doc["u"], "u", 0, p).tolist()) != params.beta:
             raise ValueError("u disagrees with the parameter header")
-        return cls(params, tuple(json_ints(doc["v"], "v", 0, p)), qu, qv, box)
+        return cls(params, tuple(json_ints(doc["v"], "v", 0, p).tolist()), qu, qv, box)
 
 
 def build_qcsa_system(params: QcsaParams) -> QcsaSystem:

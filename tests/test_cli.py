@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,11 +9,11 @@ from dataclasses import replace
 import pytest
 
 from qcsa.cli import DEFAULT_SEED, OUTPUT_DIR_ENV, main
-from qcsa.codes import QcsaParams
+from qcsa.codes import QcsaParams, qcsa_matrix
 from qcsa.field import PrimeField
 from qcsa.matrix import FieldMatrix
 from qcsa.nsumbox import build_qcsa_system
-from qcsa.scheme import qcsa_roundtrip
+from qcsa.scheme import qcsa_roundtrip, rate_report, reduced_params, run_trials
 
 
 def run_cli(*argv):
@@ -112,7 +113,7 @@ def test_verify_detects_zeroed_g_column(tmp_path, capsys):
     assert "FAIL g_rank" in printed
 
 
-def test_verify_malformed_file(tmp_path):
+def test_verify_malformed_file(tmp_path, capsys):
     assert run_cli("verify", str(tmp_path / "missing.json")) == 3
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -121,6 +122,18 @@ def test_verify_malformed_file(tmp_path):
     truncated.write_text(json.dumps({"params": {"p": 5, "N": 2, "L": 1,
                                                 "alpha": [1, 2], "beta": [1, 1], "f": [3]}}))
     assert run_cli("verify", str(truncated)) == 3
+    # Each of these once gave "internal error" (exit 1).
+    unreadable = {
+        "not-utf8.json": b"\xff\xfe{}",
+        "long-int.json": b'{"seed": 1' + b"0" * 4300 + b"}",
+        "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    }
+    for name, content in unreadable.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert run_cli("verify", str(path)) == 3, name
+        assert f"cannot read bundle {path}" in capsys.readouterr().err
 
 
 # SHA-256 of `qcsa construct` stdout, recorded from the construction that
@@ -190,13 +203,19 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys, args, digest):
     assert capsys.readouterr().err.count("\n") == 1  # the summary line and nothing else
 
 
-def test_simulate_names_the_first_failing_trial(tmp_path, capsys, monkeypatch):
+def _tamper_with_m_q(monkeypatch):
+    """Make simulate at p=13, N=6, L=2 run on a box with one M_Q entry bumped."""
     params = QcsaParams.default(PrimeField(13), 6, 2)
     system = build_qcsa_system(params)
     bumped = system.box.M.array.copy()
     bumped[3, 7] += 1
     tampered = replace(system, box=replace(system.box, M=FieldMatrix(params.field, bumped)))
     monkeypatch.setattr("qcsa.scheme.build_qcsa_system", lambda _: tampered)
+    return params, tampered
+
+
+def test_simulate_names_the_first_failing_trial(tmp_path, capsys, monkeypatch):
+    params, tampered = _tamper_with_m_q(monkeypatch)
     out = tmp_path / "trials.jsonl"
     assert run_cli("simulate", "--p", "13", "--N", "6", "--L", "2", "--seed", "8",
                    "--trials", "20", "--out", str(out)) == 1
@@ -211,6 +230,88 @@ def test_simulate_names_the_first_failing_trial(tmp_path, capsys, monkeypatch):
     assert summary_line.startswith(f"{summary['passed']}/20 trials passed")
     assert failure == (f"first failing trial: (seed, t) = (8, {t}); "
                        f"y[3] = {result.y[3]}, expected {result.expected[3]}")
+
+
+# The writers in cli emit these layouts directly; json itself is the referee,
+# at sizes and in shapes the goldens above do not reach.
+def assert_same_text(got: str, want: str):
+    """Report the first difference only: a diff of megabytes would take minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"first difference at char {at}: {got[at:at + 60]!r} vs {want[at:at + 60]!r}")
+
+
+def _referee_bundle(args) -> str:
+    p, n, l = args["p"], args["N"], args["L"]
+    params = QcsaParams.default(PrimeField(p), n, l)
+    bundle = build_qcsa_system(params).to_dict()
+    bundle["seed"] = DEFAULT_SEED
+    if "beta" in args:
+        bundle["Q_beta"] = qcsa_matrix(params.with_beta(args["beta"])).to_dict()
+    return json.dumps(bundle, indent=2, sort_keys=True) + "\n"
+
+
+LARGE_BUNDLES = {
+    "256-64-65521": {"p": 65521, "N": 256, "L": 64},
+    "255-64-2^31-1": {"p": 2**31 - 1, "N": 255, "L": 64},
+    "256-64-65521-beta": {"p": 65521, "N": 256, "L": 64, "beta": range(2, 258)},
+    "255-64-2^31-1-beta": {"p": 2**31 - 1, "N": 255, "L": 64,
+                           "beta": range(2**31 - 2, 2**31 - 257, -1)},
+}
+
+
+@pytest.mark.parametrize("args", LARGE_BUNDLES.values(), ids=LARGE_BUNDLES)
+def test_construct_bytes_match_json_at_large_n(capsys, args):
+    argv = ["construct", "--p", str(args["p"]), "--N", str(args["N"]), "--L", str(args["L"])]
+    if "beta" in args:
+        argv += ["--beta", ",".join(map(str, args["beta"]))]
+    assert run_cli(*argv) == 0
+    assert_same_text(capsys.readouterr().out, _referee_bundle(args))
+
+
+def test_rates_json_bytes_match_json(capsys):
+    assert run_cli("rates", "--N", "2:40", "--format", "json") == 0
+    rows = [rate_report(n, l).to_dict() for n in range(2, 41) for l in range(1, n)]
+    assert_same_text(capsys.readouterr().out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
+
+
+def _referee_jsonl(params, argv, system=None) -> str:
+    n, l, seed, trials = (int(argv[argv.index(flag) + 1])
+                          for flag in ("--N", "--L", "--seed", "--trials"))
+    summary = run_trials(params, seed, trials, system)
+    rows = summary.pop("reports")
+    summary["reduced"] = (params.N, params.L) != (n, l)
+    summary["requested"] = {"N": n, "L": l}
+    return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in rows + [summary])
+
+
+SIMULATE_REFEREE_RUNS = {
+    # L = N/2: both interference tails are empty.
+    "8-4-19": ("--p", "19", "--N", "8", "--L", "4", "--seed", "2", "--trials", "30"),
+    "reduced-10-8-13": ("--p", "13", "--N", "10", "--L", "8", "--seed", "0", "--trials", "9"),
+    # More trials than one block of rows.
+    "64-32-2^31-1": ("--p", "2147483647", "--N", "64", "--L", "32", "--seed", "11",
+                     "--trials", "300"),
+    "zero-trials": ("--p", "13", "--N", "5", "--L", "2", "--seed", "1", "--trials", "0"),
+}
+
+
+@pytest.mark.parametrize("argv", SIMULATE_REFEREE_RUNS.values(), ids=SIMULATE_REFEREE_RUNS)
+def test_simulate_rows_match_json(tmp_path, argv):
+    out = tmp_path / "trials.jsonl"
+    assert run_cli("simulate", *argv, "--out", str(out)) == 0
+    p, n, l = (int(argv[argv.index(flag) + 1]) for flag in ("--p", "--N", "--L"))
+    assert_same_text(out.read_text(), _referee_jsonl(reduced_params(PrimeField(p), n, l), argv))
+
+
+def test_failing_simulate_rows_match_json(tmp_path, monkeypatch):
+    params, tampered = _tamper_with_m_q(monkeypatch)
+    argv = ("--p", "13", "--N", "6", "--L", "2", "--seed", "8", "--trials", "20")
+    out = tmp_path / "trials.jsonl"
+    assert run_cli("simulate", *argv, "--out", str(out)) == 1
+    text = out.read_text()
+    assert '"pass": false' in text and '"pass": true' in text
+    assert_same_text(text, _referee_jsonl(params, argv, tampered))
 
 
 def _set(path, transform):
@@ -230,6 +331,15 @@ MALFORMED_BUNDLES = {
     "M_Q entry x+p": (_set(("M_Q", "data", 0), lambda x: x + 13), "M_Q: data[0]"),
     "N true": (_set(("params", "N"), lambda x: True), "params: N"),
     "pi image float": (_set(("pi", "image", 0), float), "pi: image[0]"),
+    # numpy would take each of these without complaint, or fail unnamed.
+    "M_Q entry true": (_set(("M_Q", "data", 5), lambda x: True), "M_Q: data[5]"),
+    "G entry 2^63": (_set(("G", "data", 2), lambda x: 2**63), "G: data[2]"),
+    "Qu entry -1": (_set(("Qu", "data", 3), lambda x: -1), "Qu: data[3]"),
+    "u entry true": (_set(("u", 0), lambda x: True), "u[0]"),
+    "H data dict": (_set(("H", "data"), lambda x: {}), "H: data must be a list"),
+    "pi n 2^64, image entry 2^63": (
+        _set(("pi",), lambda pi: {"n": 2**64, "image": [2**63] + pi["image"][1:]}),
+        "pi: image[0]"),
 }
 
 
