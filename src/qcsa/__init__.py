@@ -19,8 +19,6 @@ from .matrix import (
     SingularMatrixError,
     block_diag,
     hstack,
-    permutation_matrix,
-    vstack,
 )
 from .codes import (
     GrsSpec,
@@ -47,7 +45,6 @@ from .nsumbox import (
     is_sso,
     selector_matrix,
     selector_row_indices,
-    symplectic_form,
     verify_box,
     verify_system,
 )
@@ -77,8 +74,6 @@ __all__ = [
     "SingularMatrixError",
     "block_diag",
     "hstack",
-    "permutation_matrix",
-    "vstack",
     "GrsSpec",
     "ParameterError",
     "QcsaParams",
@@ -101,7 +96,6 @@ __all__ = [
     "is_sso",
     "selector_matrix",
     "selector_row_indices",
-    "symplectic_form",
     "verify_box",
     "verify_system",
     "RateReport",

@@ -379,18 +379,6 @@ def hstack(matrices) -> FieldMatrix:
     return FieldMatrix(first.field, np.hstack([m.array for m in mats]))
 
 
-def vstack(matrices) -> FieldMatrix:
-    mats = list(matrices)
-    if not mats:
-        raise ValueError("vstack needs at least one matrix")
-    first = mats[0]
-    for m in mats[1:]:
-        first._check_field(m)
-        if m.cols != first.cols:
-            raise ValueError("vstack column counts differ")
-    return FieldMatrix(first.field, np.vstack([m.array for m in mats]))
-
-
 def block_diag(blocks) -> FieldMatrix:
     """Block-diagonal assembly; zero-size blocks are absorbed silently."""
     mats = list(blocks)
@@ -468,16 +456,3 @@ class Permutation:
         if perm.n != n:
             raise ValueError("permutation length disagrees with its header")
         return perm
-
-
-def permutation_matrix(field: PrimeField, perm: Permutation) -> FieldMatrix:
-    """Columns are the standard basis vectors selected by the permutation.
-
-    Right-multiplying A by this matrix makes column j of the product equal
-    to column perm(j) of A.
-    """
-    n = perm.n
-    out = np.zeros((n, n), dtype=np.int64)
-    for j, target in enumerate(perm.image):
-        out[target - 1, j] = 1
-    return FieldMatrix(field, out)

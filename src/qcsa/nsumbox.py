@@ -26,6 +26,7 @@ never inverts a 2N x 2N matrix.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,14 +60,6 @@ class SingularGHError(ValueError):
 
 class DualityViolationError(ValueError):
     """The supplied QCSA pair's GRS blocks are not mutually orthogonal."""
-
-
-def symplectic_form(field: PrimeField, n: int) -> FieldMatrix:
-    """The 2n x 2n block matrix with -I top-right and I bottom-left."""
-    out = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    out[:n, n:] = -np.eye(n, dtype=np.int64) % field.p
-    out[n:, :n] = np.eye(n, dtype=np.int64)
-    return FieldMatrix(field, out)
 
 
 def _symplectic_orthogonal(g: FieldMatrix) -> bool:
@@ -292,6 +285,13 @@ class QcsaSystem:
     @property
     def u(self) -> tuple:
         return self.params.beta
+
+    @cached_property
+    def _trial_engine(self):
+        """The trial engine of :mod:`qcsa.scheme` for this system, built on first use."""
+        from .scheme import _TrialEngine  # scheme imports this module
+
+        return _TrialEngine(self)
 
     def to_dict(self, arrays: bool = False) -> dict:
         """The bundle; with ``arrays`` each matrix keeps its entries as one int64 array."""

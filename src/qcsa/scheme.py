@@ -11,16 +11,18 @@ Two instances then cost N qudits instead of 2N dits, which is where the
 factor-2 superdense gain shows up.
 
 Symbols are drawn from a seedable PCG64 generator and every report records
-the seed, so trials replay bit-exactly.  :func:`run_trials` is a batched
-engine: trial t draws its 2N symbols in one call from the stream
-``(seed, t)`` into column t of a 2N x T stack, and the T trials are then
-encoded, scaled, transmitted and compared together as N x T products
-(T at most ``TRIAL_BLOCK`` per batch).
-Its reports are exactly those of :func:`qcsa_roundtrip`, which stays the
-single-trial reference: one call to ``integers(0, p, size=2N)`` yields
-the same symbols as the four draws of :func:`make_instances` (delta(1),
-nu(1), delta(2), nu(2)), so ``qcsa_roundtrip(params, (seed, t))`` replays
-any trial of a batch on its own.
+the seed, so trials replay bit-exactly.  Both :func:`run_trials` and
+:func:`qcsa_roundtrip` run on one engine, prepared once per
+:class:`~qcsa.nsumbox.QcsaSystem`: trial t draws its 2N symbols in one
+``integers(0, p, size=2N)`` call from the stream ``(seed, t)`` into
+column t of a 2N x T stack, and the T trials are then encoded, scaled,
+transmitted and compared together as N x T products (T at most
+``TRIAL_BLOCK`` per batch; a single round trip is a batch of one).  One
+draw of 2N symbols equals the four draws of :func:`make_instances`
+(delta(1), nu(1), delta(2), nu(2)), so ``qcsa_roundtrip(params, (seed, t))``
+replays any trial of a batch on its own.  :func:`make_instances`,
+:func:`server_scale` and :meth:`SchemeInstance.from_symbols` remain the
+per-server operations, for hand-built inputs; no trial runs through them.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ import numpy as np
 
 from .codes import ParameterError, QcsaParams, _csa_inverse, check_room, csa_matrix
 from .field import PrimeField
-from .matrix import FieldMatrix, as_residue_vector
+from .matrix import FieldMatrix, _mod_matmul, as_residue_vector
 from .nsumbox import QcsaSystem, build_qcsa_system, selector_row_indices
 
 RNG_NAME = "pcg64"
@@ -46,7 +48,8 @@ class SchemeInstance:
     """One CSA instance: symbols in, answers out.
 
     answers = CSA(alpha, f) applied to the stacked vector (delta, nu);
-    that product is the defining invariant, recomputed at construction.
+    :meth:`from_symbols` validates hand-built symbols and computes that
+    product, and the trial engine fills in its own.
     """
 
     index: int
@@ -108,8 +111,63 @@ def server_scale(field: PrimeField, a1, a2, u, v) -> np.ndarray:
     return np.concatenate([a1v * uv % field.p, a2v * vv % field.p])
 
 
-def _tail(values: tuple, count: int) -> tuple:
-    return values[len(values) - count:] if count else ()
+class _TrialEngine:
+    """One system's trial pipeline, with everything but the draws prepared once.
+
+    Holds the CSA matrix C, the stacked multipliers [u; v] (checked
+    nonzero here), M_Q, the selector gather and the per-trial costs.  The
+    products go to ``_mod_matmul`` directly, whose exactness bounds hold
+    only for canonical residues, so every operand is reduced mod p first.
+    """
+
+    def __init__(self, system: QcsaSystem):
+        params = system.params
+        field, n, l = params.field, params.N, params.L
+        uv = np.concatenate([as_residue_vector(field, system.u, n),
+                             as_residue_vector(field, system.v, n)])
+        if not uv.all():
+            raise ParameterError("scaling multipliers must be nonzero")
+        self.p, self.n = field.p, n
+        self.csa = csa_matrix(field, params.alpha, params.f).array
+        self.uv = uv[:, None]
+        self.m_q = system.box.M.array
+        self.select = np.asarray(selector_row_indices(n, l)) - 1
+        self.costs = {
+            "downloaded_qudits": n,
+            "desired_symbols": 2 * l,
+            "classical_download_dits": 2 * n,
+            "qudits_per_desired_symbol": str(Fraction(n, 2 * l)),
+        }
+
+    def run(self, seeds) -> tuple:
+        """Trial j of the batch draws from ``default_rng(seeds[j])``.
+
+        Returns four arrays with one column per trial:
+
+        1. draw: the 2N x T stack S, column j being one
+           ``integers(0, p, size=2N)`` call;
+        2. encode: the answers A = [C S[:N]; C S[N:]];
+        3. scale and transmit: Y = M_Q (Diag(u, v) A mod p);
+        4. predict: M_Q Block-Diag(Qu, Qv) is the selector, so the expected
+           output is the row gather S[selector_row_indices(N, L) - 1].
+        """
+        n, p = self.n, self.p
+        symbols = np.empty((2 * n, len(seeds)), dtype=np.int64)
+        for j, seed in enumerate(seeds):
+            symbols[:, j] = np.random.default_rng(seed).integers(0, p, size=2 * n)
+        answers = np.concatenate([_mod_matmul(self.csa, symbols[:n], p),
+                                  _mod_matmul(self.csa, symbols[n:], p)])
+        y = _mod_matmul(self.m_q, self.uv * answers % p, p)
+        return symbols, answers, y, symbols[self.select]
+
+
+def _system_for(params: QcsaParams, system: QcsaSystem | None) -> QcsaSystem:
+    """``system``, or a fresh build; a system built for other parameters is refused."""
+    if system is None:
+        return build_qcsa_system(params)
+    if system.params != params:
+        raise ParameterError("the system was built for other parameters than those given")
+    return system
 
 
 @dataclass(frozen=True)
@@ -132,11 +190,13 @@ class RoundTrip:
 
     @property
     def nu_tail1(self) -> tuple:
-        return _tail(self.instances[0].nu, self.report["tail1_len"])
+        nu = self.instances[0].nu
+        return nu[len(nu) - self.report["tail1_len"]:]
 
     @property
     def nu_tail2(self) -> tuple:
-        return _tail(self.instances[1].nu, self.report["tail2_len"])
+        nu = self.instances[1].nu
+        return nu[len(nu) - self.report["tail2_len"]:]
 
     def to_dict(self) -> dict:
         return {
@@ -156,31 +216,23 @@ def qcsa_roundtrip(params: QcsaParams, seed, system: QcsaSystem | None = None) -
     floor(N/2) - L interference symbols of instance 1, delta(2), the last
     ceil(N/2) - L interference symbols of instance 2.  When L = N/2 the
     interference segments are empty and y is just the two desired blocks.
+    This is one trial of the prepared engine, on the stream ``seed``.
     """
-    if system is None:
-        system = build_qcsa_system(params)
+    system = _system_for(params, system)
+    engine = system._trial_engine
     n, l = params.N, params.L
-    inst1, inst2 = make_instances(params, seed)
-    x = server_scale(params.field, inst1.answers, inst2.answers, system.u, system.v)
-    y = tuple(system.box.transmit(x).tolist())
-
-    tail1 = _tail(inst1.nu, params.half_floor - l)
-    tail2 = _tail(inst2.nu, params.half_ceil - l)
-    expected = inst1.delta + tail1 + inst2.delta + tail2
+    symbols, answers, y, expected = (tuple(a[:, 0].tolist()) for a in engine.run([seed]))
+    instances = (SchemeInstance(1, symbols[:l], symbols[l:n], answers[:n]),
+                 SchemeInstance(2, symbols[n:n + l], symbols[n + l:], answers[n:]))
     report = {
         "seed": [int(s) for s in seed] if isinstance(seed, (tuple, list)) else int(seed),
         "rng": RNG_NAME,
         "params": params.to_dict(),
-        "tail1_len": len(tail1),
-        "tail2_len": len(tail2),
-        "costs": {
-            "downloaded_qudits": n,
-            "desired_symbols": 2 * l,
-            "classical_download_dits": 2 * n,
-            "qudits_per_desired_symbol": str(Fraction(n, 2 * l)),
-        },
+        "tail1_len": params.half_floor - l,
+        "tail2_len": params.half_ceil - l,
+        "costs": dict(engine.costs),
     }
-    return RoundTrip((inst1, inst2), y, expected, y == expected, report)
+    return RoundTrip(instances, y, expected, y == expected, report)
 
 
 def run_trials(params: QcsaParams, seed: int, trials: int,
@@ -189,50 +241,21 @@ def run_trials(params: QcsaParams, seed: int, trials: int,
 
     Returns a summary with per-trial reports; ``passed`` counts trials
     whose output matched the prediction exactly.  Report t equals
-    ``qcsa_roundtrip(params, (seed, t), system).to_dict()``, but the trials
-    run as a batch, in blocks of up to TRIAL_BLOCK columns:
-
-    1. draw: column t of the 2N x T stack S is trial t's 2N symbols, one
-       ``integers(0, p, size=2N)`` call on ``default_rng((seed, t))``;
-    2. encode: the two instances' answers are C @ S[:N] and C @ S[N:],
-       with the one cached CSA matrix C;
-    3. scale: X = Diag(u, v) [A(1); A(2)];
-    4. transmit: Y = M_Q @ X;
-    5. compare: M_Q Block-Diag(Qu, Qv) is the selector, so the predicted
-       output is the row gather S[selector_row_indices(N, L) - 1], and
-       trial t passes when column t of Y equals it entry for entry.
+    ``qcsa_roundtrip(params, (seed, t), system).to_dict()``; the trials
+    run through the same engine, in blocks of up to TRIAL_BLOCK columns.
     """
     if trials < 0:
         raise ParameterError(f"trial count must be nonnegative, got {trials}")
-    if system is None:
-        system = build_qcsa_system(params)
-    field, n, l = params.field, params.N, params.L
-    csa = csa_matrix(field, params.alpha, params.f)
-    uv = np.concatenate([as_residue_vector(field, system.u, n),
-                         as_residue_vector(field, system.v, n)])
-    if trials and not uv.all():
-        raise ParameterError("scaling multipliers must be nonzero")
-    select = np.asarray(selector_row_indices(n, l)) - 1
-    costs = {
-        "downloaded_qudits": n,
-        "desired_symbols": 2 * l,
-        "classical_download_dits": 2 * n,
-        "qudits_per_desired_symbol": str(Fraction(n, 2 * l)),
-    }
+    system = _system_for(params, system)
+    engine = system._trial_engine
     rows = []
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
-        symbols = np.empty((2 * n, len(block)), dtype=np.int64)
-        for j, t in enumerate(block):
-            symbols[:, j] = np.random.default_rng((seed, t)).integers(0, field.p, size=2 * n)
-        answers = np.concatenate([(csa @ FieldMatrix(field, symbols[:n])).array,
-                                  (csa @ FieldMatrix(field, symbols[n:])).array])
-        y = (system.box.M @ FieldMatrix(field, uv[:, None] * answers)).array
-        expected = symbols[select]
+        _, _, y, expected = engine.run([(seed, t) for t in block])
         ok = (y == expected).all(axis=0).tolist()
         rows += [
             {"seed": [int(seed), t], "params": params.to_dict(), "y": y_t, "expected": e_t,
-             "pass": ok_t, "costs": dict(costs)}
+             "pass": ok_t, "costs": dict(engine.costs)}
             for t, y_t, e_t, ok_t in zip(block, y.T.tolist(), expected.T.tolist(), ok)
         ]
     return {

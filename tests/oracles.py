@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to freeze and re-check goldens.
 
 Everything here is plain Python ints on lists of lists: schoolbook
-products, cofactor determinants, adjugate inverses, and direct
-entry-formula constructions.  Nothing imports the package's elimination
+products, cofactor determinants, adjugate inverses, direct entry-formula
+constructions, and a trial-by-trial referee for the simulator.  Nothing imports the package's elimination
 kernels, so these stay an independent route for every value they check.
 """
 
@@ -84,3 +84,50 @@ def qcsa_entries(alpha, beta, f, p):
     return [
         [beta[i] * x % p for x in row] for i, row in enumerate(csa_entries(alpha, f, p))
     ]
+
+
+def permutation_entries(image):
+    """The permutation matrix whose column j is the basis vector e_{image[j]}.
+
+    ``image`` is 1-based one-line notation, so (A P)[:, j] = A[:, image[j] - 1].
+    """
+    n = len(image)
+    return [[int(image[j] == i + 1) for j in range(n)] for i in range(n)]
+
+
+def symplectic_entries(n, p):
+    """The 2n x 2n symplectic form J: -I in the top-right block, I bottom-left."""
+    return [
+        [p - 1 if i < n and j == i + n else int(i >= n and j == i - n) for j in range(2 * n)]
+        for i in range(2 * n)
+    ]
+
+
+def qcsa_trials(alpha, f, u, m_rows, draws, p):
+    """Slow referee for the two-instance trial pipeline, one dict per draw.
+
+    Each draw holds one trial's 2N symbols in draw order: delta(1), nu(1),
+    delta(2), nu(2).  Both instances are encoded with the CSA entries,
+    server n scales its two answers by u_n and by the dual v_n, and the
+    stacked input goes through ``m_rows`` (the channel matrix M_Q under
+    test), all as schoolbook products.  The expected output is the paper's
+    layout: delta(1), the last floor(N/2) - L symbols of nu(1), delta(2),
+    the last ceil(N/2) - L symbols of nu(2).
+    """
+    n, l = len(alpha), len(f)
+    csa = csa_entries(alpha, f, p)
+    v = dual_mult(alpha, u, p)
+    out = []
+    for draw in draws:
+        s1, s2 = list(draw[:n]), list(draw[n:])
+        a1 = [row[0] for row in matmul(csa, [[x] for x in s1], p)]
+        a2 = [row[0] for row in matmul(csa, [[x] for x in s2], p)]
+        x = [u[i] * a1[i] % p for i in range(n)] + [v[i] * a2[i] % p for i in range(n)]
+        y = [row[0] for row in matmul(m_rows, [[t] for t in x], p)]
+        nu1, nu2 = s1[l:], s2[l:]
+        tail1 = nu1[len(nu1) - (n // 2 - l):]
+        tail2 = nu2[len(nu2) - ((n + 1) // 2 - l):]
+        expected = s1[:l] + tail1 + s2[:l] + tail2
+        out.append({"delta": (s1[:l], s2[:l]), "nu": (nu1, nu2), "answers": (a1, a2),
+                    "y": y, "expected": expected, "passed": y == expected})
+    return out

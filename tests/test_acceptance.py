@@ -22,7 +22,7 @@ from qcsa.codes import (
     qcsa_matrix,
 )
 from qcsa.field import PrimeField, next_prime
-from qcsa.matrix import FieldMatrix, block_diag, hstack, permutation_matrix
+from qcsa.matrix import FieldMatrix, block_diag, hstack
 from qcsa.nsumbox import (
     SingularGHError,
     build_qcsa_system,
@@ -30,11 +30,17 @@ from qcsa.nsumbox import (
     gh_column_permutation,
     is_sso,
     selector_matrix,
-    symplectic_form,
 )
 from qcsa.scheme import classical_decode, qcsa_roundtrip, rate_report, reduce_servers
 
-from oracles import adjugate_inverse, dual_mult, matmul, qcsa_entries
+from oracles import (
+    adjugate_inverse,
+    dual_mult,
+    matmul,
+    permutation_entries,
+    qcsa_entries,
+    symplectic_entries,
+)
 
 # (N, L) pairs with 2 <= N <= 12, 1 <= L <= floor(N/2); each runs at the
 # smallest usable prime and at q = 101.
@@ -87,7 +93,7 @@ def test_criterion_2_channel_construction_suite():
             point_ok = (
                 is_sso(box.G)
                 and gh.rank() == 2 * n
-                and gh == bd @ permutation_matrix(field, box.pi)
+                and gh == bd @ FieldMatrix(field, permutation_entries(box.pi.image))
                 and box.M @ bd == selector_matrix(field, n, l)
             )
             if not point_ok:
@@ -237,7 +243,7 @@ def test_criterion_7_negative_paths():
         if g.rank() != n:
             continue
         # confirm non-SSO by the independent schoolbook product
-        j = symplectic_form(field, n).array.tolist()
+        j = symplectic_entries(n, 13)
         gt = [list(row) for row in g.array.T.tolist()]
         triple = matmul(matmul(gt, j, 13), g.array.tolist(), 13)
         if all(x == 0 for row in triple for x in row):

@@ -171,9 +171,10 @@ def test_construct_bytes_are_pinned(capsys, args, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-# SHA-256 of `qcsa simulate --out` JSONL, recorded from the engine that ran
-# one qcsa_roundtrip per trial, so they hold the batched engine to the
-# same bytes.
+# SHA-256 of `qcsa simulate --out` JSONL, recorded from an earlier engine
+# that ran each trial on its own through per-instance draws and
+# matrix-vector products, so they hold the one batched trial engine, which
+# run_trials and qcsa_roundtrip now share, to the same bytes.
 SIMULATE_DIGESTS = [
     (("--p", "13", "--N", "10", "--L", "8"),
      "6c0f5b8b80a448c7ad57a89e4f27bca0261167f547810f0014bac98bffd15129"),

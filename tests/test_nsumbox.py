@@ -5,7 +5,7 @@ import pytest
 
 from qcsa.codes import ParameterError, QcsaParams, dual_multipliers, qcsa_matrix
 from qcsa.field import PrimeField
-from qcsa.matrix import FieldMatrix, Permutation, block_diag, hstack, permutation_matrix
+from qcsa.matrix import FieldMatrix, Permutation, block_diag, hstack
 from qcsa.nsumbox import (
     DualityViolationError,
     NSumBox,
@@ -19,18 +19,27 @@ from qcsa.nsumbox import (
     is_sso,
     selector_matrix,
     selector_row_indices,
-    symplectic_form,
     verify_box,
     verify_system,
 )
 
-from oracles import adjugate_inverse, matmul
+from oracles import adjugate_inverse, matmul, permutation_entries, symplectic_entries
 from test_acceptance import GRID, PAIR_GRID
 
 GF5 = PrimeField(5)
 GF13 = PrimeField(13)
 
 WORKED = QcsaParams(GF5, 2, 1, (1, 2), (1, 1), (3,))
+
+
+def symplectic_form(field, n):
+    """The oracle's 2n x 2n symplectic form J, as a FieldMatrix."""
+    return FieldMatrix(field, symplectic_entries(n, field.p))
+
+
+def permutation_matrix(field, perm):
+    """The oracle's permutation matrix of ``perm``, as a FieldMatrix."""
+    return FieldMatrix(field, permutation_entries(perm.image))
 
 
 def test_symplectic_form_examples():

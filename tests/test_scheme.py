@@ -21,6 +21,7 @@ from qcsa.scheme import (
     server_scale,
 )
 
+import oracles
 from test_acceptance import GRID, PAIR_GRID
 
 GF5 = PrimeField(5)
@@ -198,6 +199,25 @@ def test_run_trials_counts_and_replays():
     assert empty["passed"] == 0 and empty["reports"] == []
 
 
+GF101 = PrimeField(101)
+
+
+@pytest.mark.parametrize("other", [
+    QcsaParams.default(GF101, 6, 2, beta=(3, 1, 1, 1, 1, 1)),  # only u differs
+    QcsaParams.default(GF101, 8, 2),
+], ids=["beta", "N"])
+def test_a_system_built_for_other_parameters_is_refused(other):
+    params = QcsaParams.default(GF101, 6, 2)
+    system = build_qcsa_system(other)
+    with pytest.raises(ParameterError, match="other parameters"):
+        qcsa_roundtrip(params, (1, 0), system)
+    for trials in (0, 3):
+        with pytest.raises(ParameterError, match="other parameters"):
+            run_trials(params, 1, trials, system)
+    # equal parameters built separately are the same parameters
+    assert qcsa_roundtrip(QcsaParams.default(GF101, 6, 2), (1, 0), build_qcsa_system(params)).passed
+
+
 DIFFERENTIAL_GRID = GRID + [(n, l, 2**31 - 1) for n, l in PAIR_GRID]
 
 
@@ -209,25 +229,49 @@ def _bumped_channel(system, rng):
     return replace(system, box=replace(system.box, M=FieldMatrix(system.params.field, bumped)))
 
 
+def _referee(params, system, seed, trials):
+    """The oracle's trials t < ``trials`` on the streams (seed, t), through system's M_Q."""
+    draws = [np.random.default_rng((seed, t)).integers(0, params.field.p, size=2 * params.N)
+             .tolist() for t in range(trials)]
+    return oracles.qcsa_trials(params.alpha, params.f, params.beta,
+                               system.box.M.array.tolist(), draws, params.field.p)
+
+
+def _referee_rows(params, seed, referee):
+    n, l = params.N, params.L
+    costs = {"downloaded_qudits": n, "desired_symbols": 2 * l,
+             "classical_download_dits": 2 * n, "qudits_per_desired_symbol": str(Fraction(n, 2 * l))}
+    return [{"seed": [seed, t], "params": params.to_dict(), "y": r["y"],
+             "expected": r["expected"], "pass": r["passed"], "costs": costs}
+            for t, r in enumerate(referee)]
+
+
 @pytest.mark.parametrize("n,l,q", DIFFERENTIAL_GRID)
 def test_run_trials_matches_the_single_trial_reference(n, l, q, monkeypatch):
+    """Both trial entry points equal the slow referee of tests/oracles.py, trial by trial."""
     field = PrimeField(q)
     rng = np.random.default_rng((n, l, q))
     for params in (QcsaParams.default(field, n, l), QcsaParams.random(field, n, l, rng)):
         system = build_qcsa_system(params)
-        reference = [qcsa_roundtrip(params, (5, t), system).to_dict() for t in range(37)]
-        for trials in (0, 1, 37):
-            summary = run_trials(params, 5, trials, system)
-            assert summary["reports"] == reference[:trials]
-            assert summary["passed"] == trials
-        monkeypatch.setattr(scheme, "TRIAL_BLOCK", 16)  # blocks of 16, 16 and 5 trials
-        assert run_trials(params, 5, 37, system)["reports"] == reference
-        monkeypatch.undo()
-        tampered = _bumped_channel(system, rng)
-        summary = run_trials(params, 6, 37, tampered)
-        reference = [qcsa_roundtrip(params, (6, t), tampered) for t in range(37)]
-        assert summary["reports"] == [r.to_dict() for r in reference]
-        assert summary["passed"] == sum(r.passed for r in reference) < 37
+        for seed, under_test in ((5, system), (6, _bumped_channel(system, rng))):
+            referee = _referee(params, under_test, seed, 37)
+            rows = _referee_rows(params, seed, referee)
+            for trials in (0, 1, 37):
+                summary = run_trials(params, seed, trials, under_test)
+                assert summary["reports"] == rows[:trials]
+                assert summary["passed"] == sum(r["passed"] for r in referee[:trials])
+            monkeypatch.setattr(scheme, "TRIAL_BLOCK", 16)  # blocks of 16, 16 and 5 trials
+            assert run_trials(params, seed, 37, under_test)["reports"] == rows
+            monkeypatch.undo()
+            for t, r in enumerate(referee):
+                result = qcsa_roundtrip(params, (seed, t), under_test)
+                assert (list(result.y), list(result.expected), result.passed) \
+                    == (r["y"], r["expected"], r["passed"])
+                for k, inst in enumerate(result.instances):
+                    assert (list(inst.delta), list(inst.nu), list(inst.answers)) \
+                        == (r["delta"][k], r["nu"][k], r["answers"][k])
+            passed = sum(r["passed"] for r in referee)
+            assert passed == 37 if under_test is system else passed < 37
 
 
 @pytest.mark.parametrize("n,l,q", DIFFERENTIAL_GRID)
