@@ -23,6 +23,12 @@ fixed layout, and because Qu = Diag(u) C and Qv = Diag(v) C for the one
 CSA matrix C, M's top rows are selected rows of C^{-1} Diag(u)^{-1} and
 its bottom rows selected rows of C^{-1} Diag(v)^{-1}, so the synthesis
 never inverts a 2N x 2N matrix.
+
+``verify_system`` re-checks a bundle through the same algebra.  When pi is
+the layout, [G H] is the gather of Block-Diag(Qu, Qv) and Qu, Qv are the
+pair the parameters give, rank G = N, G^T J G = 0, rank [G H] = 2N, MG = 0
+and MH = I follow from the parameter, duality, gather and selector checks
+it makes anyway; any other bundle gets the dense checks of ``verify_box``.
 """
 
 from dataclasses import dataclass
@@ -309,10 +315,18 @@ class QcsaSystem:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QcsaSystem":
-        """Strict inverse of :meth:`to_dict`; every error names the key at fault."""
+        """Strict inverse of :meth:`to_dict`; every error names the key at fault.
+
+        ``seed`` and ``Q_beta``, which ``construct`` may add, are checked
+        when present (an integer, and an N x N matrix over GF(p)) but not kept.
+        """
         params = _parse(doc, "params", QcsaParams.from_dict)
         p, n = params.field.p, params.N
         qu, qv = (_matrix(doc, key, p, (n, n)) for key in ("Qu", "Qv"))
+        if "seed" in doc:
+            json_int(doc["seed"], "seed")
+        if "Q_beta" in doc:
+            _matrix(doc, "Q_beta", p, (n, n))
         box = _box_from_dict(doc, params.field, n, "M_Q")
         if tuple(json_ints(doc["u"], "u", 0, p).tolist()) != params.beta:
             raise ValueError("u disagrees with the parameter header")
@@ -328,13 +342,15 @@ def build_qcsa_system(params: QcsaParams) -> QcsaSystem:
     return QcsaSystem(params, v, qu, qv, box)
 
 
+def _shapes(box: NSumBox) -> bool:
+    n = box.N
+    return box.M.shape == (n, 2 * n) and box.G.shape == (2 * n, n) and box.H.shape == (2 * n, n)
+
+
 def verify_box(box: NSumBox) -> dict:
     """Re-check the feasibility invariants of a (possibly deserialized) box."""
     field, n = box.field, box.N
-    checks = {}
-    checks["shapes"] = (
-        box.M.shape == (n, 2 * n) and box.G.shape == (2 * n, n) and box.H.shape == (2 * n, n)
-    )
+    checks = {"shapes": _shapes(box)}
     if not checks["shapes"]:
         return checks
     checks["g_rank"] = box.G.rank() == n
@@ -356,9 +372,16 @@ def verify_box(box: NSumBox) -> dict:
 
 
 def verify_system(system: QcsaSystem) -> dict:
-    """Named pass/fail re-checks for a full construction bundle."""
+    """Named pass/fail re-checks for a full construction bundle.
+
+    The box checks are those of :func:`verify_box`, but on a bundle whose
+    [G H] is the QCSA gather of the very pair its parameters give, each is
+    read off a value computed here anyway; any other bundle gets the dense
+    checks.
+    """
     params = system.params
     field, n, l = params.field, params.N, params.L
+    box = system.box
     checks = {}
     v = dual_multipliers(field, params.alpha, params.beta)
     checks["dual_multipliers"] = tuple(system.v) == v
@@ -367,15 +390,52 @@ def verify_system(system: QcsaSystem) -> dict:
     gamma_top = qcsa_grs_submatrix(system.qu, params, params.half_ceil)
     gamma_bot = qcsa_grs_submatrix(system.qv, params, params.half_floor)
     checks["grs_duality"] = (gamma_top.T @ gamma_bot).is_zero()
-    checks.update(verify_box(system.box))
-    checks["pi_present"] = system.box.pi is not None
-    if not checks["pi_present"]:
-        return checks
-    m, bd = system.box.M, block_diag([system.qu, system.qv])
-    gathered = bd.take_columns([i - 1 for i in system.box.pi.image])
-    checks["gh_is_permuted_blockdiag"] = hstack([system.box.G, system.box.H]) == gathered
-    # M Block-Diag(Qu, Qv) = [M_left Qu | M_right Qv], without the zero blocks.
-    checks["selector_identity"] = (
-        hstack([m[:, :n] @ system.qu, m[:, n:] @ system.qv]) == selector_matrix(field, n, l)
+    layout = _layout(n, l)
+    cols = np.array(layout) - 1
+    tail = {"pi_present": box.pi is not None}
+    if tail["pi_present"]:
+        gathered = block_diag([system.qu, system.qv]).take_columns(np.array(box.pi.image) - 1)
+        tail["gh_is_permuted_blockdiag"] = hstack([box.G, box.H]) == gathered
+        # W = M Block-Diag(Qu, Qv) = [M_left Qu | M_right Qv], without the
+        # zero blocks.  The selector's columns at the layout are (0 I), so
+        # W equals it iff W's layout columns are 0 and then I.
+        w = hstack([box.M[:, :n] @ system.qu, box.M[:, n:] @ system.qv])
+        w_g, w_h = w.take_columns(cols[:n]), w.take_columns(cols[n:])
+        tail["selector_identity"] = w_g.is_zero() and w_h == FieldMatrix.identity(field, n)
+    premise = (
+        _shapes(box)
+        and tail["pi_present"]
+        and box.pi.image == layout
+        and tail["gh_is_permuted_blockdiag"]
+        and checks["qu_matches_params"]
+        and checks["qv_matches_dual"]
     )
+    if premise:
+        # Premise P: [G H] is Block-Diag(Qu, Qv) gathered at the layout,
+        # with Qu = Diag(u) C and Qv = Diag(v) C for the recomputed v.
+        # QcsaParams makes alpha and f distinct and u nonzero, and each v_j
+        # is an inverse, so nonzero.  Under P:
+        # - G = Block-Diag(Gamma_top, Gamma_bot), each block Diag(nonzero)
+        #   times a Vandermonde matrix on the distinct alpha with at most N
+        #   columns, so rank G = ceil(N/2) + floor(N/2) = N.
+        # - X = G_bot^T G_top has Gamma_bot^T Gamma_top as its only nonzero
+        #   block, off the diagonal, so X = X^T iff Gamma_top^T Gamma_bot = 0,
+        #   which is grs_duality.
+        # - C is invertible (N + L distinct points), hence so are Qu, Qv
+        #   and [G H]: rank [G H] = 2N.
+        # - M [G H] = W gathered at the layout, so MG = w_g and MH = w_h.
+        annihilates = w_g.is_zero()
+        inverts = w_h == FieldMatrix.identity(box.field, n)
+        checks.update(
+            shapes=True,
+            g_rank=True,
+            g_symplectic_orthogonal=checks["grs_duality"],
+            gh_full_rank=True,
+            m_from_gh=annihilates and inverts,
+            m_annihilates_g=annihilates,
+            m_inverts_h=inverts,
+        )
+    else:
+        checks.update(verify_box(box))
+    checks.update(tail)
     return checks

@@ -341,6 +341,18 @@ MALFORMED_BUNDLES = {
     "pi n 2^64, image entry 2^63": (
         _set(("pi",), lambda pi: {"n": 2**64, "image": [2**63] + pi["image"][1:]}),
         "pi: image[0]"),
+    "seed string": (_set(("seed",), lambda x: "abc"), "seed must be an integer"),
+    "seed float": (_set(("seed",), float), "seed must be an integer"),
+    "Q_beta entry 1.5": (
+        lambda doc: doc.update(Q_beta=dict(doc["Qu"], data=[1.5] + doc["Qu"]["data"][1:])),
+        "Q_beta: data[0]"),
+    "Q_beta over another modulus": (
+        lambda doc: doc.update(Q_beta=dict(doc["Qu"], p=11,
+                                           data=[x % 11 for x in doc["Qu"]["data"]])),
+        "Q_beta modulus"),
+    "Q_beta 3 x 3": (
+        lambda doc: doc.update(Q_beta=dict(doc["Qu"], rows=3, cols=3, data=doc["Qu"]["data"][:9])),
+        "Q_beta must have shape"),
 }
 
 
@@ -355,6 +367,17 @@ def test_verify_rejects_malformed_entries(tmp_path, capsys, edit, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+def test_verify_accepts_a_bundle_without_seed_or_q_beta(tmp_path, capsys):
+    out = tmp_path / "bundle.json"
+    system = build_qcsa_system(QcsaParams.default(PrimeField(13), 5, 2))
+    out.write_text(json.dumps(system.to_dict()))
+    assert run_cli("verify", str(out)) == 0
+    assert capsys.readouterr().out.endswith("14/14 checks passed\n")
+    run_cli("construct", "--p", "13", "--N", "5", "--L", "2", "--beta", "1,2,3,4,5",
+            "--seed", "-3", "--out", str(out))
+    assert run_cli("verify", str(out)) == 0
 
 
 def test_simulate_trials(tmp_path, capsys):

@@ -354,6 +354,82 @@ def _tampered_boxes(box, rng):
         yield replace(box, **{name: FieldMatrix(box.field, zeroed)})
 
 
+def reference_verify_system(system) -> dict:
+    """verify_system with no premise: every box check from the dense verify_box.
+
+    The test below pins verify_box itself to reference_verify_box.
+    """
+    params = system.params
+    field, n, l = params.field, params.N, params.L
+    box = system.box
+    v = dual_multipliers(field, params.alpha, params.beta)
+    gamma_top = system.qu.take_columns(range(l, l + params.half_ceil))
+    gamma_bot = system.qv.take_columns(range(l, l + params.half_floor))
+    checks = {
+        "dual_multipliers": tuple(system.v) == v,
+        "qu_matches_params": system.qu == qcsa_matrix(params),
+        "qv_matches_dual": system.qv == qcsa_matrix(params.with_beta(v)),
+        "grs_duality": (gamma_top.T @ gamma_bot).is_zero(),
+    }
+    checks.update(verify_box(box))
+    checks["pi_present"] = box.pi is not None
+    if checks["pi_present"]:
+        bd = block_diag([system.qu, system.qv])
+        checks["gh_is_permuted_blockdiag"] = (
+            hstack([box.G, box.H]) == bd @ permutation_matrix(field, box.pi)
+        )
+        checks["selector_identity"] = dense_selector_identity(system)
+    return checks
+
+
+def _regathered(system, qu, qv, image):
+    """The system with Qu, Qv and pi replaced and [G H] gathered to match them."""
+    n = system.params.N
+    gh = block_diag([qu, qv]).take_columns([i - 1 for i in image])
+    box = replace(system.box, G=gh.take_columns(range(n)),
+                  H=gh.take_columns(range(n, 2 * n)), pi=Permutation(image))
+    return replace(system, qu=qu, qv=qv, box=box)
+
+
+def _with_m(system, rows):
+    return replace(system, box=replace(system.box, M=FieldMatrix(system.params.field, rows)))
+
+
+def _tampered_systems(system, rng):
+    """Edits that keep verify_system's premise, and edits that break it.
+
+    The premise is pi = the layout, [G H] = the gather of Block-Diag(Qu, Qv)
+    at pi, and Qu, Qv = the pair the parameters give.
+    """
+    n = system.params.N
+    layout = system.box.pi.image
+    for box in _tampered_boxes(system.box, rng):
+        yield replace(system, box=box)
+    # pi off the layout: once with [G H] left alone, once regathered to match
+    swapped = list(layout)
+    a, b = rng.choice(2 * n, 2, replace=False)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    yield replace(system, box=replace(system.box, pi=Permutation(swapped)))
+    yield _regathered(system, system.qu, system.qv, layout[n:] + layout[:n])
+    yield _regathered(system, system.qu, system.qv, tuple(rng.permutation(2 * n) + 1))
+    # Qu or Qv off the parameters, with [G H] regathered so the gather holds
+    for name in ("qu", "qv"):
+        bumped = getattr(system, name).array.copy()
+        bumped[tuple(int(rng.integers(n)) for _ in range(2))] += 1
+        zeroed = getattr(system, name).array.copy()
+        zeroed[:, int(rng.integers(n))] = 0
+        for entries in (bumped, zeroed):
+            pair = {"qu": system.qu, "qv": system.qv, name: FieldMatrix(system.qu.field, entries)}
+            yield _regathered(system, pair["qu"], pair["qv"], layout)
+    # M rows moved within the row space of M (MH breaks, MG stays 0) and
+    # of the top rows T of [G H]^{-1} (MG breaks, MH stays I).
+    m = system.box.M.array
+    top = hstack([system.box.G, system.box.H]).inverse().array[:n]
+    i, j = (int(rng.integers(n)) for _ in range(2))
+    yield _with_m(system, m + np.eye(n, dtype=np.int64)[:, [i]] * m[j])
+    yield _with_m(system, m + np.eye(n, dtype=np.int64)[:, [i]] * top[j])
+
+
 DIFFERENTIAL_GRID = GRID + [(n, l, 2**31 - 1) for n, l in PAIR_GRID]
 
 
@@ -361,12 +437,18 @@ DIFFERENTIAL_GRID = GRID + [(n, l, 2**31 - 1) for n, l in PAIR_GRID]
 def test_channel_and_checks_match_reference_formulas(n, l, q):
     field = PrimeField(q)
     rng = np.random.default_rng((75, n, l, q))
+    seen = set()
     for params in (QcsaParams.default(field, n, l), QcsaParams.random(field, n, l, rng)):
         system = build_qcsa_system(params)
         assert system.box.M == reference_channel(system)
         assert selector_row_indices(n, l) == gh_column_permutation(n, l).image[n:]
         for box in (system.box, *_tampered_boxes(system.box, rng)):
             assert list(verify_box(box).items()) == list(reference_verify_box(box).items())
+        for tampered in (system, *_tampered_systems(system, rng)):
+            checks = verify_system(tampered)
+            assert list(checks.items()) == list(reference_verify_system(tampered).items())
+            seen.add((checks["m_annihilates_g"], checks["m_inverts_h"]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_verify_system_gathers_what_the_permutation_matrix_multiplies():
