@@ -11,6 +11,9 @@ bundle, or a JSON rate table, is byte for byte
 ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` and a JSONL line
 ``json.dumps(row, sort_keys=True)``; the writers below emit those layouts
 directly, since ``indent`` sends ``json`` to its pure-Python encoder.
+``verify`` reads a bundle as ``json.load`` would, except that each long
+flat list of non-negative integers comes back as an int64 array parsed by
+numpy; a file that reader does not take goes through ``json.load`` itself.
 """
 
 import argparse
@@ -182,16 +185,99 @@ def cmd_construct(args) -> int:
     return 0
 
 
+_JSON_SPACE = b" \t\n\r"
+# A list of fewer bytes is left to json: numpy's fixed cost per list makes
+# it slower there (measured on bundles with N <= 12, the sim-grid sizes).
+_MIN_ARRAY_BYTES = 4096
+# Stands for one array in the text json parses.  Outside a string it is
+# the constant NaN between whitespace; inside one, its raw newlines make
+# json fail.
+_PLACEHOLDER = b"\nNaN\n"
+
+
+def _last_byte(raw: bytes, end: int) -> bytes:
+    """The last byte of ``raw[:end]`` that is not JSON whitespace, or b"" if there is none."""
+    end -= 1
+    while end >= 0 and raw[end] in _JSON_SPACE:
+        end -= 1
+    return raw[end:end + 1]
+
+
+def _int_array(raw: bytes, start: int, end: int):
+    """The list ``raw[start:end + 1]`` as int64, if it is a long dict value of small ints.
+
+    Small means in [0, 10**18); long, at least ``_MIN_ARRAY_BYTES``.
+    ``np.fromstring`` also takes a sign, \\v and \\f, leading zeros, a
+    blank entry (as 0) and a trailing comma, and it saturates past int64.
+    So the list must follow a colon and end in a digit, its values must stay
+    below 10**18, and its bytes that are not commas or JSON whitespace must
+    be exactly its values' decimal digits; anything fromstring does not
+    read breaks that count too.  Returns None for any other list.
+    """
+    if (end - start < _MIN_ARRAY_BYTES or _last_byte(raw, start) != b":"
+            or not _last_byte(raw, end).isdigit()):
+        return None
+    body = raw[start + 1:end]
+    try:
+        arr = np.fromstring(body, dtype=np.int64, sep=",")
+    except ValueError:
+        return None
+    top = arr.max()
+    if top >= 10**18:
+        return None
+    digits = arr.size + sum(np.count_nonzero(arr >= 10**k) for k in range(1, len(str(top))))
+    return arr if len(body.translate(None, b"," + _JSON_SPACE)) == digits else None
+
+
+def _read_json(path: str):
+    """``json.load`` of the UTF-8 file at ``path``, with int64 arrays for flat int lists.
+
+    Each list that ``_int_array`` takes is read by numpy straight into an
+    array, so no Python int is built for it, and a placeholder takes its
+    place in the text json parses.  Any other list is left to json.  If
+    that text does not parse, or holds a NaN of its own, the file is read
+    again by ``json.load`` alone, which gives the same document or the
+    same error as it always did.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    pieces, arrays, start = [], [], 0
+    at = raw.find(b"[")
+    while at >= 0:
+        # A flat list closes before the next "[" opens; looking no further
+        # keeps the scan linear in the file size, however lists nest.
+        nxt = raw.find(b"[", at + 1)
+        end = raw.find(b"]", at, nxt if nxt >= 0 else len(raw))
+        arr = _int_array(raw, at, end) if end >= 0 else None
+        if arr is not None:
+            pieces += [raw[start:at], _PLACEHOLDER]
+            arrays.append(arr)
+            start = end + 1
+        at = nxt
+    pieces.append(raw[start:])
+    skeleton = b"".join(pieces)
+    if skeleton.count(b"NaN") == len(arrays):
+        fill = iter(arrays)
+        try:
+            return json.loads(skeleton.decode("utf-8"),
+                              parse_constant=lambda c: next(fill) if c == "NaN" else float(c))
+        except (ValueError, RecursionError):
+            pass
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _load_bundle(path: str) -> QcsaSystem:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bad UTF-8 and integers past int()'s digit limit.
         raise BundleFormatError(f"cannot read bundle {path}: {exc}")
     try:
         return QcsaSystem.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise BundleFormatError(f"malformed bundle {path}: missing key {exc}")
+    except (TypeError, ValueError) as exc:
         raise BundleFormatError(f"malformed bundle {path}: {exc}")
 
 

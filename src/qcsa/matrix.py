@@ -169,16 +169,24 @@ def json_int(value, key: str) -> int:
 
 
 def json_ints(values, key: str, lo: int, hi: int) -> np.ndarray:
-    """A JSON list of integers in [lo, hi), as an int64 array.
+    """A JSON list of integers in [lo, hi), as a fresh int64 array.
 
-    The type pass comes first because numpy would accept what JSON must
+    The list may also come already read as a 1-D int64 array (the CLI's
+    bundle reader gives one); then only the range is checked.  For a list
+    the type pass comes first because numpy would accept what JSON must
     not: ``np.array([1, True])`` is int64 ``[1, 1]``.  The range is then
     checked on the array; an entry past int64 fails the conversion itself.
     A failure is located entry by entry, so the error names the first bad one.
     """
+    hi = min(hi, 2**63)  # every entry must fit in int64 as well
+    if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
+        arr = values.copy()
+        if not arr.size or (lo <= arr.min() and arr.max() < hi):
+            return arr
+        i = int(np.flatnonzero((arr < lo) | (arr >= hi))[0])
+        raise ValueError(f"{key}[{i}] must be an integer in [{lo}, {hi}), got {arr[i]}")
     if not isinstance(values, list):
         raise ValueError(f"{key} must be a list, got {type(values).__name__}")
-    hi = min(hi, 2**63)  # every entry must fit in int64 as well
     if set(map(type, values)) <= {int}:
         try:
             arr = np.array(values, dtype=np.int64)
@@ -208,12 +216,25 @@ class FieldMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _from_canonical(cls, field: PrimeField, arr: np.ndarray) -> "FieldMatrix":
+        """A matrix on ``arr`` itself, with no copy and no reduction.
+
+        Only for a 2-D int64 array of residues already in [0, p) that no
+        one will write: a fresh result, or a view of an immutable matrix.
+        """
+        arr.flags.writeable = False
+        mat = object.__new__(cls)
+        mat.field = field
+        mat._data = arr
+        return mat
+
+    @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "FieldMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
+        return cls._from_canonical(field, np.zeros((rows, cols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
+        return cls._from_canonical(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def diagonal(cls, field: PrimeField, entries) -> "FieldMatrix":
@@ -228,7 +249,7 @@ class FieldMatrix:
         data = json_ints(doc["data"], "data", 0, field.p)
         if rows < 0 or cols < 0 or len(data) != rows * cols:
             raise ValueError(f"data has {len(data)} entries, not rows x cols = {rows} x {cols}")
-        return cls(field, data.reshape(rows, cols))
+        return cls._from_canonical(field, data.reshape(rows, cols))
 
     # -- basic properties ----------------------------------------------
 
@@ -268,7 +289,8 @@ class FieldMatrix:
             raise ValueError(
                 f"cannot multiply {self.shape} by {other.shape}: inner dimensions differ"
             )
-        return FieldMatrix(self.field, _mod_matmul(self._data, other._data, self.field.p))
+        product = _mod_matmul(self._data, other._data, self.field.p)
+        return FieldMatrix._from_canonical(self.field, product)
 
     def __add__(self, other):
         if not isinstance(other, FieldMatrix):
@@ -300,7 +322,7 @@ class FieldMatrix:
         return FieldMatrix(self.field, self._data * vec)
 
     def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self._data.T)
+        return FieldMatrix._from_canonical(self.field, self._data.T)
 
     T = property(transpose)
 
@@ -318,13 +340,15 @@ class FieldMatrix:
             return int(sub)
         if sub.ndim != 2:
             raise TypeError("only (i, j) scalar access or 2-D slices are supported")
-        return FieldMatrix(self.field, sub)
+        return FieldMatrix._from_canonical(self.field, sub)
 
     def take_rows(self, indices) -> "FieldMatrix":
-        return FieldMatrix(self.field, self._data[np.asarray(list(indices), dtype=np.int64), :])
+        rows = np.asarray(list(indices), dtype=np.int64)
+        return FieldMatrix._from_canonical(self.field, self._data[rows, :])
 
     def take_columns(self, indices) -> "FieldMatrix":
-        return FieldMatrix(self.field, self._data[:, np.asarray(list(indices), dtype=np.int64)])
+        cols = np.asarray(list(indices), dtype=np.int64)
+        return FieldMatrix._from_canonical(self.field, self._data[:, cols])
 
     # -- elimination kernels ----------------------------------------------
 
@@ -336,7 +360,8 @@ class FieldMatrix:
         aug = np.hstack([self._data, np.eye(n, dtype=np.int64)])
         if len(_row_reduce(aug, p, n)) < n:
             raise SingularMatrixError(f"matrix is singular over GF({p})")
-        return FieldMatrix(self.field, aug[:, n:])
+        # A copy, so the cached inverses do not keep the n x 2n work array alive.
+        return FieldMatrix._from_canonical(self.field, aug[:, n:].copy())
 
     def rank(self) -> int:
         """Pivot count of the row echelon form."""
@@ -376,7 +401,7 @@ def hstack(matrices) -> FieldMatrix:
         first._check_field(m)
         if m.rows != first.rows:
             raise ValueError("hstack row counts differ")
-    return FieldMatrix(first.field, np.hstack([m.array for m in mats]))
+    return FieldMatrix._from_canonical(first.field, np.hstack([m.array for m in mats]))
 
 
 def block_diag(blocks) -> FieldMatrix:
@@ -395,7 +420,7 @@ def block_diag(blocks) -> FieldMatrix:
         out[r:r + m.rows, c:c + m.cols] = m.array
         r += m.rows
         c += m.cols
-    return FieldMatrix(field, out)
+    return FieldMatrix._from_canonical(field, out)
 
 
 class Permutation:

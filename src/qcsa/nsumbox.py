@@ -182,9 +182,16 @@ class NSumBox:
 
 
 def _parse(doc: dict, key: str, parse):
-    """parse(doc[key]), with its errors re-raised as ValueErrors naming ``key``."""
+    """parse(doc[key]), with its errors re-raised as ValueErrors naming ``key``.
+
+    A missing ``key`` itself stays a KeyError, for the caller to name.
+    """
     try:
         return parse(doc[key])
+    except KeyError as exc:
+        if key not in doc:
+            raise
+        raise ValueError(f"{key}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from exc
 

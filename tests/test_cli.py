@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -6,13 +7,15 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from qcsa.cli import DEFAULT_SEED, OUTPUT_DIR_ENV, main
+from qcsa import cli
+from qcsa.cli import DEFAULT_SEED, OUTPUT_DIR_ENV, BundleFormatError, main
 from qcsa.codes import QcsaParams, qcsa_matrix
 from qcsa.field import PrimeField
 from qcsa.matrix import FieldMatrix
-from qcsa.nsumbox import build_qcsa_system
+from qcsa.nsumbox import QcsaSystem, build_qcsa_system
 from qcsa.scheme import qcsa_roundtrip, rate_report, reduced_params, run_trials
 
 
@@ -324,7 +327,17 @@ def _set(path, transform):
     return edit
 
 
-# Each edit once gave "internal error" (exit 1) or a silent 14/14 PASS.
+def _del(path):
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+# Each edit once gave "internal error" (exit 1), a silent 14/14 PASS or,
+# for a missing key, a message without the key's parent.
 MALFORMED_BUNDLES = {
     "M_Q entry 2^70": (_set(("M_Q", "data", 0), lambda x: 2**70), "M_Q: data[0]"),
     "M_Q entry x+0.5": (_set(("M_Q", "data", 0), lambda x: x + 0.5), "M_Q: data[0]"),
@@ -353,6 +366,10 @@ MALFORMED_BUNDLES = {
     "Q_beta 3 x 3": (
         lambda doc: doc.update(Q_beta=dict(doc["Qu"], rows=3, cols=3, data=doc["Qu"]["data"][:9])),
         "Q_beta must have shape"),
+    "Qu rows missing": (_del(("Qu", "rows")), "Qu: missing key 'rows'"),
+    "pi n missing": (_del(("pi", "n")), "pi: missing key 'n'"),
+    "params alpha missing": (_del(("params", "alpha")), "params: missing key 'alpha'"),
+    "v missing": (_del(("v",)), "bundle.json: missing key 'v'"),
 }
 
 
@@ -378,6 +395,154 @@ def test_verify_accepts_a_bundle_without_seed_or_q_beta(tmp_path, capsys):
     run_cli("construct", "--p", "13", "--N", "5", "--L", "2", "--beta", "1,2,3,4,5",
             "--seed", "-3", "--out", str(out))
     assert run_cli("verify", str(out)) == 0
+
+
+# The bundle reader gives verify int64 arrays for flat int lists; it must
+# read every file exactly as json.load followed by from_dict on plain lists.
+def _reference_load_bundle(path):
+    """The reader without arrays: ``json.load``, then ``from_dict`` on lists."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise BundleFormatError(f"cannot read bundle {path}: {exc}")
+    try:
+        return QcsaSystem.from_dict(doc)
+    except KeyError as exc:
+        raise BundleFormatError(f"malformed bundle {path}: missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise BundleFormatError(f"malformed bundle {path}: {exc}")
+
+
+@pytest.fixture(scope="module")
+def reader_doc(tmp_path_factory):
+    """A bundle with multi-digit entries and a Q_beta, as a plain document."""
+    out = tmp_path_factory.mktemp("reader") / "bundle.json"
+    assert run_cli("construct", "--p", "2147483647", "--N", "5", "--L", "2",
+                   "--beta", "3,1,4,1,5", "--out", str(out)) == 0
+    return json.loads(out.read_text())
+
+
+MARKER = 123456789012345678  # 18 digits, which construct never writes here
+LAYOUTS = {
+    "compact": lambda doc: json.dumps(doc, ensure_ascii=False),
+    "indent": lambda doc: json.dumps(doc, indent=2, ensure_ascii=False),
+}
+
+
+def _entry(path, token):
+    """Write the bundle with the entry at ``path`` spelled as ``token``."""
+    def make(doc, dump):
+        _set(path, lambda x: MARKER)(doc)
+        return dump(doc).replace(str(MARKER), token)
+    return make
+
+
+def _edited(edit):
+    def make(doc, dump):
+        edit(doc)
+        return dump(doc)
+    return make
+
+
+def _bytes(transform):
+    def make(doc, dump):
+        return transform(dump(doc).encode())
+    return make
+
+
+ENTRY_PATHS = {"M_Q-first": ("M_Q", "data", 0), "M_Q-last": ("M_Q", "data", -1),
+               "pi-last": ("pi", "image", -1)}
+ENTRY_TOKENS = ["0", "7", "007", "-0", "-1", "1.0", "1e2", "+1", "NaN", "Infinity", "1" * 18,
+                "1" * 19, "1" * 20, str(2**63 - 1), str(2**63), "5,", " 5 ", "[5]", "true", '"5"']
+READER_CASES = {f"{where} {token!r}": _entry(path, token)
+                for where, path in ENTRY_PATHS.items() for token in ENTRY_TOKENS}
+READER_CASES.update({
+    "fresh": _edited(lambda doc: None),
+    "bumped M_Q entry": _edited(_set(("M_Q", "data", 3), lambda x: (x + 1) % (2**31 - 1))),
+    "G zeroed": _edited(_set(("G", "data"), lambda data: [0] * len(data))),
+    "H := G": _edited(lambda doc: doc.update(H=doc["G"])),
+    "pi null": _edited(_set(("pi",), lambda x: None)),
+    "empty data": _edited(_set(("M_Q", "data"), lambda x: [])),
+    "empty alpha": _edited(_set(("params", "alpha"), lambda x: [])),
+    "nested data": _edited(_set(("M_Q", "data"), lambda x: [[1, 2], [3]])),
+    "nested empty data": _edited(_set(("M_Q", "data"), lambda x: [[]])),
+    "list in a string": _edited(_set(("seed",), lambda x: "[1, 2]")),
+    "list after a colon in a string": _edited(_set(("seed",), lambda x: "x: [1, 2]")),
+    "list after a colon in an unread string": _edited(lambda doc: doc.update(note="a: [1, 2]")),
+    "list after a colon in a key": _edited(lambda doc: doc.update({"a: [1, 2]": 1})),
+    "non-ASCII string": _edited(_set(("seed",), lambda x: "ü: [3]")),
+    "non-ASCII key over an int list": _edited(lambda doc: doc.update({"ü": [1, 2]})),
+    "duplicate key, the last one good": _bytes(lambda raw: b'{"M_Q": {"data": [1]}, ' + raw[1:]),
+    "duplicate key, the last one bad": _bytes(lambda raw: raw[:-1] + b', "v": [1, 2]}'),
+    "forged placeholder as seed": _bytes(lambda raw: raw.replace(b'"seed": 1729',
+                                                                 b'"seed": \nNaN\n')),
+    "forged placeholder as data": _entry(("M_Q", "data"), "\nNaN\n"),
+    "NaN seed": _bytes(lambda raw: raw.replace(b'"seed": 1729', b'"seed": NaN')),
+    "-Infinity seed": _bytes(lambda raw: raw.replace(b'"seed": 1729', b'"seed": -Infinity')),
+    "UTF-8 BOM": _bytes(lambda raw: b"\xef\xbb\xbf" + raw),
+    "invalid UTF-8 in a list": _bytes(lambda raw: raw.replace(b"1729", b"\xff")),
+    "invalid UTF-8 in a string": _entry(("seed",), '"\udcff"'),
+    "tabs": _bytes(lambda raw: raw.replace(b" ", b"\t")),
+    "CR LF": _bytes(lambda raw: raw.replace(b"\n", b"\r\n")),
+    "CR": _bytes(lambda raw: raw.replace(b"\n", b"\r")),
+    "vertical tab in a list": _bytes(lambda raw: raw.replace(b", ", b",\x0b", 1)),
+    "truncated in a data list": _bytes(lambda raw: raw[:raw.index(b"[", raw.index(b'"G"')) + 20]),
+    "top-level list": _bytes(lambda raw: b"[1, 2, 3]"),
+    "empty file": _bytes(lambda raw: b""),
+    "deep nesting": _bytes(lambda raw: b'{"v": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+})
+
+
+# These bundles' lists are all shorter than cli._MIN_ARRAY_BYTES, so by
+# default json reads every one of them; at 0 numpy takes all it can.
+@pytest.mark.parametrize("min_bytes", [0, cli._MIN_ARRAY_BYTES], ids=["arrays", "default"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("make", READER_CASES.values(), ids=READER_CASES)
+def test_verify_reads_bundles_like_json_load(tmp_path, capsys, monkeypatch, reader_doc,
+                                             layout, make, min_bytes):
+    monkeypatch.setattr(cli, "_MIN_ARRAY_BYTES", min_bytes)
+    text = make(copy.deepcopy(reader_doc), LAYOUTS[layout])
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogateescape")  # "\udcff" becomes the byte 0xff
+    path = tmp_path / "bundle.json"
+    path.write_bytes(text)
+    got = run_cli("verify", str(path)), *capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr("qcsa.cli._load_bundle", _reference_load_bundle)
+        want = run_cli("verify", str(path)), *capsys.readouterr()
+    assert got == want
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_reader_gives_arrays_for_int_lists(tmp_path, monkeypatch, reader_doc, layout):
+    monkeypatch.setattr(cli, "_MIN_ARRAY_BYTES", 0)
+    path = tmp_path / "bundle.json"
+    path.write_text(LAYOUTS[layout](reader_doc))
+    doc = cli._read_json(str(path))
+    arrays = [doc[key]["data"] for key in ("G", "H", "M_Q", "Q_beta", "Qu", "Qv")]
+    arrays += [doc["params"][key] for key in ("alpha", "beta", "f")]
+    arrays += [doc["pi"]["image"], doc["u"], doc["v"]]
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in arrays)
+    assert _as_lists(doc) == reader_doc
+
+
+def test_reader_leaves_short_lists_to_json(tmp_path):
+    path = tmp_path / "bundle.json"
+    assert run_cli("construct", "--p", "2147483647", "--N", "64", "--L", "16",
+                   "--out", str(path)) == 0
+    doc = cli._read_json(str(path))
+    for key in ("G", "H", "M_Q", "Qu", "Qv"):  # 4,096 or more entries each
+        assert isinstance(doc[key]["data"], np.ndarray)
+    for short in (doc["u"], doc["v"], doc["params"]["alpha"], doc["pi"]["image"]):
+        assert type(short) is list
+    assert _as_lists(doc) == json.loads(path.read_text())
 
 
 def test_simulate_trials(tmp_path, capsys):

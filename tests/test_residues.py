@@ -3,6 +3,9 @@
 ``loop_as_residue_vector`` is the per-element loop the package used while
 it still had a scalar element type, minus the branch for that type; the
 numpy version must agree with it exactly wherever the loop accepts input.
+The matrix operations that skip the copy and reduction of the public
+constructor, and ``json_ints`` on int64 arrays, are held to the same
+standard here.
 """
 
 import numpy as np
@@ -11,7 +14,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qcsa.field import MAX_MODULUS, PrimeField, next_prime
-from qcsa.matrix import FieldMatrix, as_residue_vector
+from qcsa.matrix import (
+    FieldMatrix,
+    SingularMatrixError,
+    as_residue_vector,
+    block_diag,
+    hstack,
+    json_ints,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -98,3 +108,56 @@ def test_matrix_dict_round_trip(field, rows, cols, data):
     doc = m.to_dict()
     assert all(type(x) is int for x in doc["data"])
     assert FieldMatrix.from_dict(doc) == m
+
+
+def assert_canonical(field, m):
+    """m's array is read-only canonical int64, as FieldMatrix(field, that array) would hold."""
+    arr = m.array
+    assert arr.dtype == np.int64 and arr.ndim == 2 and not arr.flags.writeable
+    assert arr.size == 0 or (arr.min() >= 0 and arr.max() < field.p)
+    assert FieldMatrix(field, arr) == m
+
+
+@SETTINGS
+@given(fields, st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_every_operation_gives_a_canonical_read_only_array(field, rows, inner, cols, data):
+    a = FieldMatrix(field, data.draw(hnp.arrays(np.int64, (rows, inner))))
+    b = FieldMatrix(field, data.draw(hnp.arrays(np.int64, (inner, cols))))
+    picks = st.lists(st.integers(0, 9), max_size=6)
+    results = [
+        a @ b, a.T, a[1:, ::2], block_diag([a, b]), hstack([a, a]),
+        FieldMatrix.zeros(field, rows, cols), FieldMatrix.identity(field, inner),
+        FieldMatrix.from_dict(a.to_dict()), FieldMatrix.from_dict(a.to_dict(arrays=True)),
+    ]
+    if rows:
+        results.append(a.take_rows([i % rows for i in data.draw(picks)]))
+    if inner:
+        results.append(a.take_columns([i % inner for i in data.draw(picks)]))
+    if rows == inner:
+        try:
+            results.append(a.inverse())
+        except SingularMatrixError:
+            pass
+    for m in results:
+        assert_canonical(field, m)
+
+
+@SETTINGS
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=20), st.integers(-5, 5),
+       st.integers(-5, 2**64))
+def test_int64_arrays_read_like_int_lists(values, lo, hi):
+    """json_ints gives the same array, or the same error, for a list and its int64 array."""
+    outcomes = []
+    for given_values in (values, np.array(values, dtype=np.int64)):
+        try:
+            outcomes.append(json_ints(given_values, "k", lo, hi).tolist())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_int64_arrays_are_copied():
+    values = np.arange(4, dtype=np.int64)
+    got = json_ints(values, "k", 0, 7)
+    got[0] = 6
+    assert values[0] == 0
