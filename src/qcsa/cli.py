@@ -13,7 +13,8 @@ bundle, or a JSON rate table, is byte for byte
 directly, since ``indent`` sends ``json`` to its pure-Python encoder.
 ``verify`` reads a bundle as ``json.load`` would, except that each long
 flat list of non-negative integers comes back as an int64 array parsed by
-numpy; a file that reader does not take goes through ``json.load`` itself.
+numpy; a file that reader, or the bundle parse of its arrays, does not
+take is read again by ``json.load`` itself.
 """
 
 import argparse
@@ -22,6 +23,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -186,8 +188,13 @@ def cmd_construct(args) -> int:
 
 
 _JSON_SPACE = b" \t\n\r"
-# A list of fewer bytes is left to json: numpy's fixed cost per list makes
-# it slower there (measured on bundles with N <= 12, the sim-grid sizes).
+# A list of fewer bytes is left to json.  Reading and range-checking one
+# list in construct's layout (timeit, best of 15, 2-vCPU VM), the two
+# readers cost the same, within noise, somewhere from about 1.5 KB
+# (3-digit entries, about 60 us each) to 5 KB (10-digit, about 80 us);
+# past that numpy pulls ahead, 70 against 215 us at 10 KB of 3-digit
+# entries.  4096 sits in that band and above a sim-grid bundle's longest
+# list (3,825 bytes at N = 12, p = 2^31 - 1), which json keeps reading.
 _MIN_ARRAY_BYTES = 4096
 # Stands for one array in the text json parses.  Outside a string it is
 # the constant NaN between whitespace; inside one, its raw newlines make
@@ -218,9 +225,15 @@ def _int_array(raw: bytes, start: int, end: int):
             or not _last_byte(raw, end).isdigit()):
         return None
     body = raw[start + 1:end]
-    try:
-        arr = np.fromstring(body, dtype=np.int64, sep=",")
-    except ValueError:
+    # Where fromstring stops short, newer numpy raises and older numpy warns
+    # and returns what it read so far; both reject the list here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            arr = np.fromstring(body, dtype=np.int64, sep=",")
+        except (ValueError, Warning):
+            return None
+    if not arr.size:
         return None
     top = arr.max()
     if top >= 10**18:
@@ -234,10 +247,8 @@ def _read_json(path: str):
 
     Each list that ``_int_array`` takes is read by numpy straight into an
     array, so no Python int is built for it, and a placeholder takes its
-    place in the text json parses.  Any other list is left to json.  If
-    that text does not parse, or holds a NaN of its own, the file is read
-    again by ``json.load`` alone, which gives the same document or the
-    same error as it always did.
+    place in the text json parses.  Any other list is left to json.  A NaN
+    of the file's own raises ValueError; json's errors pass through.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -256,20 +267,24 @@ def _read_json(path: str):
         at = nxt
     pieces.append(raw[start:])
     skeleton = b"".join(pieces)
-    if skeleton.count(b"NaN") == len(arrays):
-        fill = iter(arrays)
-        try:
-            return json.loads(skeleton.decode("utf-8"),
-                              parse_constant=lambda c: next(fill) if c == "NaN" else float(c))
-        except (ValueError, RecursionError):
-            pass
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    if skeleton.count(b"NaN") != len(arrays):
+        raise ValueError("a NaN besides the placeholders")
+    fill = iter(arrays)
+    return json.loads(skeleton.decode("utf-8"),
+                      parse_constant=lambda c: next(fill) if c == "NaN" else float(c))
 
 
 def _load_bundle(path: str) -> QcsaSystem:
     try:
-        doc = _read_json(path)
+        return QcsaSystem.from_dict(_read_json(path))
+    except Exception:
+        # Read the file again as json.load alone reads it, so a file that the
+        # fast reader, or from_dict on its arrays, does not take gets the
+        # error and exit code that the plain reader gives.
+        pass
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bad UTF-8 and integers past int()'s digit limit.
         raise BundleFormatError(f"cannot read bundle {path}: {exc}")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -492,6 +493,14 @@ READER_CASES.update({
     "empty file": _bytes(lambda raw: b""),
     "deep nesting": _bytes(lambda raw: b'{"v": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
 })
+# A flat int list long enough for numpy at the default _MIN_ARRAY_BYTES, in
+# place of a dict, a scalar or a list of lists: from_dict must fail on it
+# with the message it gives for the same list read by json.
+LONG_INTS = [7] * 1500
+READER_CASES.update({f"long int list as {'.'.join(path)}": _edited(_set(path, lambda x: LONG_INTS))
+                     for path in [("params",), ("params", "p"), ("params", "N"), ("Qu",),
+                                  ("Qu", "rows"), ("M_Q",), ("M_Q", "p"), ("pi",), ("G",),
+                                  ("Q_beta",), ("seed",)]})
 
 
 # These bundles' lists are all shorter than cli._MIN_ARRAY_BYTES, so by
@@ -531,6 +540,22 @@ def test_reader_gives_arrays_for_int_lists(tmp_path, monkeypatch, reader_doc, la
     arrays += [doc["pi"]["image"], doc["u"], doc["v"]]
     assert all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in arrays)
     assert _as_lists(doc) == reader_doc
+
+
+# Where fromstring cannot read a list to its end, older numpy only warns and
+# returns the entries it read, if any; such a list must be left to json.
+@pytest.mark.parametrize("partial", [[], [7]], ids=["empty", "short"])
+def test_reader_leaves_lists_fromstring_stops_in_to_json(tmp_path, monkeypatch, reader_doc,
+                                                         partial):
+    def lenient_fromstring(text, dtype, sep):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return np.array(partial, dtype=dtype)
+
+    monkeypatch.setattr(cli, "_MIN_ARRAY_BYTES", 0)
+    monkeypatch.setattr(np, "fromstring", lenient_fromstring)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(reader_doc))
+    assert cli._read_json(str(path)) == reader_doc
 
 
 def test_reader_leaves_short_lists_to_json(tmp_path):
