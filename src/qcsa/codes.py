@@ -113,8 +113,10 @@ def _validate_points(field: PrimeField, alpha, f) -> tuple:
     return a, ff
 
 
-# Matrices are immutable, so caching the repeated rebuilds the simulator
-# triggers (one per scheme instance) is safe.
+# Matrices are immutable, so caching them is safe.  One build or verify asks
+# for C several times (Qu, Qv, C^{-1}), and classical_decode loops ask for
+# C^{-1} over and over.  _csa_inverse reads this cache directly: its alpha
+# and f come from a QcsaParams, which has validated them.
 @lru_cache(maxsize=512)
 def _csa_cached(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
     field, n, l = PrimeField(p), len(alpha), len(f)
@@ -140,7 +142,7 @@ def csa_matrix(field: PrimeField, alpha, f) -> FieldMatrix:
 @lru_cache(maxsize=256)
 def _csa_inverse(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
     """The one N x N inverse of C that classical decoding and M_Q share."""
-    return csa_matrix(PrimeField(p), alpha, f).inverse()
+    return _csa_cached(p, alpha, f).inverse()
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ product always fits in a 64-bit machine integer.
 """
 
 import operator
+from functools import lru_cache
 
 MAX_MODULUS = 2**31 - 1
 
@@ -25,8 +26,9 @@ class FieldMismatchError(ValueError):
     """Arithmetic attempted between matrices over different prime fields."""
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the supported modulus range."""
+    """Deterministic primality test for the supported modulus range, cached per n."""
     if n < 2:
         return False
     for b in _MR_BASES:

@@ -13,16 +13,17 @@ symplectic form J) and [G H] invertible.  Only this classical functional
 contract is modeled here; the stabilizer protocol realizing it is taken
 as given.
 
-``build_qcsa_box`` synthesizes the specific feasible box that decodes two
-cross-subspace-aligned instances over the air: G stacks the mutually dual
-GRS blocks of a QCSA matrix pair (the classic CSS recipe for producing an
-SSO matrix), H collects the leftover columns, and the resulting M routes
-the desired symbols, plus a fixed tail of interference symbols, straight
-to the output.  [G H] is a column gather of Block-Diag(Qu, Qv) at one
-fixed layout, and because Qu = Diag(u) C and Qv = Diag(v) C for the one
-CSA matrix C, M's top rows are selected rows of C^{-1} Diag(u)^{-1} and
-its bottom rows selected rows of C^{-1} Diag(v)^{-1}, so the synthesis
-never inverts a 2N x 2N matrix.
+``build_qcsa_system`` synthesizes the specific feasible box that decodes
+two cross-subspace-aligned instances over the air: G stacks the mutually
+dual GRS blocks of a QCSA matrix pair (the classic CSS recipe for
+producing an SSO matrix), H collects the leftover columns, and the
+resulting M routes the desired symbols, plus a fixed tail of interference
+symbols, straight to the output.  [G H] is a column gather of
+Block-Diag(Qu, Qv) at one fixed layout, and because Qu = Diag(u) C and
+Qv = Diag(v) C for the one CSA matrix C, M's top rows are selected rows
+of C^{-1} Diag(u)^{-1} and its bottom rows selected rows of
+C^{-1} Diag(v)^{-1}, so the synthesis never inverts a 2N x 2N matrix.
+``build_qcsa_box`` checks a supplied pair against that system.
 
 ``verify_system`` re-checks a bundle through the same algebra.  When pi is
 the layout, [G H] is the gather of Block-Diag(Qu, Qv) and Qu, Qv are the
@@ -236,55 +237,6 @@ def channel_from_gh(g: FieldMatrix, h: FieldMatrix) -> NSumBox:
     return NSumBox(g.field, n, m, g, h)
 
 
-def build_qcsa_box(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams) -> NSumBox:
-    """Synthesize the channel that decodes a QCSA matrix pair over the air.
-
-    ``params.beta`` is the free multiplier vector u; the dual vector v is
-    recomputed here and the supplied pair is checked against
-    Diag(u) @ C and Diag(v) @ C for the CSA matrix C, because the dual
-    pairing is the load-bearing hypothesis behind self-orthogonality.
-
-    G = Block-Diag of the [N, ceil(N/2)] GRS block of Qu and the
-    [N, floor(N/2)] GRS block of Qv (for odd N the surplus GRS column of
-    Qv is demoted to H).  H gathers the remaining columns of
-    Block-Diag(Qu, Qv): Qu's Cauchy block, Qu's Vandermonde tail, Qv's
-    Cauchy block, the demoted column when N is odd, then Qv's tail.  The
-    channel matrix is the row selector times Block-Diag(Qu, Qv)^{-1}, and
-    since Qu^{-1} = C^{-1} Diag(u)^{-1} and Qv^{-1} = C^{-1} Diag(v)^{-1},
-    its top rows are selected rows of C^{-1} Diag(u)^{-1} and its bottom
-    rows selected rows of C^{-1} Diag(v)^{-1}: one cached N x N inverse,
-    no 2N x 2N one.
-    """
-    n, l = params.N, params.L
-    field = params.field
-    u = params.beta
-    v = dual_multipliers(field, params.alpha, u)
-
-    expected_qu = qcsa_matrix(params)
-    expected_qv = qcsa_matrix(params.with_beta(v))
-    gamma_top = qcsa_grs_submatrix(qu, params, params.half_ceil)
-    gamma_bot = qcsa_grs_submatrix(qv, params, params.half_floor)
-    if not (gamma_top.T @ gamma_bot).is_zero():
-        raise DualityViolationError(
-            "GRS blocks of the supplied pair are not mutually orthogonal"
-        )
-    if qu != expected_qu:
-        raise ParameterError("Qu does not match the matrix rebuilt from (alpha, u, f)")
-    if qv != expected_qv:
-        raise ParameterError("Qv does not match the dual matrix rebuilt from (alpha, u, f)")
-
-    pi = gh_column_permutation(n, l)
-    layout = [i - 1 for i in pi.image]
-    gh = block_diag([qu, qv]).take_columns(layout)
-    c_inv = _csa_inverse(field.p, params.alpha, params.f)
-    bd_inv = block_diag([
-        c_inv.scale_columns([pow(x, -1, field.p) for x in u]),
-        c_inv.scale_columns([pow(x, -1, field.p) for x in v]),
-    ])
-    m = bd_inv.take_rows(layout[n:])
-    return NSumBox(field, n, m, gh.take_columns(range(n)), gh.take_columns(range(n, 2 * n)), pi)
-
-
 @dataclass(frozen=True)
 class QcsaSystem:
     """A complete construction bundle: parameters, matrix pair, channel."""
@@ -341,12 +293,53 @@ class QcsaSystem:
 
 
 def build_qcsa_system(params: QcsaParams) -> QcsaSystem:
-    """Construct Qu, Qv, and the feasible box from scratch."""
+    """Construct v, Qu, Qv and the feasible box that decodes them, in one pass.
+
+    ``params.beta`` is the free multiplier vector u, and v its dual
+    multipliers, so the GRS blocks of Qu = Diag(u) C and Qv = Diag(v) C
+    are mutually orthogonal.  G = Block-Diag of the [N, ceil(N/2)] GRS
+    block of Qu and the [N, floor(N/2)] GRS block of Qv (for odd N the
+    surplus GRS column of Qv is demoted to H).  H gathers the remaining
+    columns of Block-Diag(Qu, Qv): Qu's Cauchy block, Qu's Vandermonde
+    tail, Qv's Cauchy block, the demoted column when N is odd, then Qv's
+    tail.  The channel matrix is the row selector times
+    Block-Diag(Qu, Qv)^{-1}, and since Qu^{-1} = C^{-1} Diag(u)^{-1} and
+    Qv^{-1} = C^{-1} Diag(v)^{-1}, its top rows are selected rows of
+    C^{-1} Diag(u)^{-1} and its bottom rows selected rows of
+    C^{-1} Diag(v)^{-1}: one cached N x N inverse, no 2N x 2N one.
+    """
+    n, l, p = params.N, params.L, params.field.p
     v = dual_multipliers(params.field, params.alpha, params.beta)
     qu = qcsa_matrix(params)
     qv = qcsa_matrix(params.with_beta(v))
-    box = build_qcsa_box(qu, qv, params)
-    return QcsaSystem(params, v, qu, qv, box)
+    pi = gh_column_permutation(n, l)
+    layout = [i - 1 for i in pi.image]
+    gh = block_diag([qu, qv]).take_columns(layout)
+    c_inv = _csa_inverse(p, params.alpha, params.f)
+    m = block_diag([c_inv.scale_columns([pow(x, -1, p) for x in w])
+                    for w in (params.beta, v)]).take_rows(layout[n:])
+    return QcsaSystem(params, v, qu, qv, NSumBox(params.field, n, m, gh[:, :n], gh[:, n:], pi))
+
+
+def build_qcsa_box(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams) -> NSumBox:
+    """The box of :func:`build_qcsa_system`, for a supplied pair checked against ``params``.
+
+    Three checks, in this order: the GRS blocks of Qu and Qv must be
+    mutually orthogonal (DualityViolationError), then Qu must equal the
+    system's Diag(u) C and Qv its Diag(v) C (ParameterError each).
+    """
+    system = build_qcsa_system(params)
+    gamma_top = qcsa_grs_submatrix(qu, params, params.half_ceil)
+    gamma_bot = qcsa_grs_submatrix(qv, params, params.half_floor)
+    if not (gamma_top.T @ gamma_bot).is_zero():
+        raise DualityViolationError(
+            "GRS blocks of the supplied pair are not mutually orthogonal"
+        )
+    if qu != system.qu:
+        raise ParameterError("Qu does not match the matrix rebuilt from (alpha, u, f)")
+    if qv != system.qv:
+        raise ParameterError("Qv does not match the dual matrix rebuilt from (alpha, u, f)")
+    return system.box
 
 
 def _shapes(box: NSumBox) -> bool:
@@ -407,8 +400,9 @@ def verify_system(system: QcsaSystem) -> dict:
         # zero blocks.  The selector's columns at the layout are (0 I), so
         # W equals it iff W's layout columns are 0 and then I.
         w = hstack([box.M[:, :n] @ system.qu, box.M[:, n:] @ system.qv])
-        w_g, w_h = w.take_columns(cols[:n]), w.take_columns(cols[n:])
-        tail["selector_identity"] = w_g.is_zero() and w_h == FieldMatrix.identity(field, n)
+        annihilates = w.take_columns(cols[:n]).is_zero()
+        inverts = w.take_columns(cols[n:]) == FieldMatrix.identity(field, n)
+        tail["selector_identity"] = annihilates and inverts
     premise = (
         _shapes(box)
         and tail["pi_present"]
@@ -430,15 +424,14 @@ def verify_system(system: QcsaSystem) -> dict:
         #   which is grs_duality.
         # - C is invertible (N + L distinct points), hence so are Qu, Qv
         #   and [G H]: rank [G H] = 2N.
-        # - M [G H] = W gathered at the layout, so MG = w_g and MH = w_h.
-        annihilates = w_g.is_zero()
-        inverts = w_h == FieldMatrix.identity(box.field, n)
+        # - M [G H] = W gathered at the layout, so MG = 0 and MH = I are
+        #   the two halves of selector_identity.
         checks.update(
             shapes=True,
             g_rank=True,
             g_symplectic_orthogonal=checks["grs_duality"],
             gh_full_rank=True,
-            m_from_gh=annihilates and inverts,
+            m_from_gh=tail["selector_identity"],
             m_annihilates_g=annihilates,
             m_inverts_h=inverts,
         )

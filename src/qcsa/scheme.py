@@ -243,23 +243,26 @@ def run_trials(params: QcsaParams, seed: int, trials: int,
     whose output matched the prediction exactly.  Report t equals
     ``qcsa_roundtrip(params, (seed, t), system).to_dict()``; the trials
     run through the same engine, in blocks of up to TRIAL_BLOCK columns.
+    The summary and all reports share one ``params`` dict, and the reports
+    one ``costs`` dict: copy a report's dict before editing it.
     """
     if trials < 0:
         raise ParameterError(f"trial count must be nonnegative, got {trials}")
     system = _system_for(params, system)
     engine = system._trial_engine
+    params_doc, costs = params.to_dict(), dict(engine.costs)
     rows = []
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
         _, _, y, expected = engine.run([(seed, t) for t in block])
         ok = (y == expected).all(axis=0).tolist()
         rows += [
-            {"seed": [int(seed), t], "params": params.to_dict(), "y": y_t, "expected": e_t,
-             "pass": ok_t, "costs": dict(engine.costs)}
+            {"seed": [int(seed), t], "params": params_doc, "y": y_t, "expected": e_t,
+             "pass": ok_t, "costs": costs}
             for t, y_t, e_t, ok_t in zip(block, y.T.tolist(), expected.T.tolist(), ok)
         ]
     return {
-        "params": params.to_dict(),
+        "params": params_doc,
         "seed": seed,
         "rng": RNG_NAME,
         "trials": trials,
@@ -341,8 +344,6 @@ class RateReport:
 
 def rate_report(n: int, l: int) -> RateReport:
     """Classical and quantum rates for N servers and L desired symbols."""
-    if l < 1 or l >= n:
-        raise ParameterError(f"need 1 <= L < N, got N={n}, L={l}")
     n2, l2 = reduce_servers(n, l)
     rate_c = Fraction(l, n)
     rate_q = min(Fraction(1), 2 * rate_c)

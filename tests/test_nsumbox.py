@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -236,15 +237,28 @@ def test_build_rejects_mismatched_pair():
     qu = qcsa_matrix(WORKED)
     v = dual_multipliers(GF5, WORKED.alpha, WORKED.beta)
     qv = qcsa_matrix(WORKED.with_beta(v))
+    duality = "^GRS blocks of the supplied pair are not mutually orthogonal$"
+    qu_off = re.escape("Qu does not match the matrix rebuilt from (alpha, u, f)")
+    qv_off = re.escape("Qv does not match the dual matrix rebuilt from (alpha, u, f)")
     # swap the roles: the GRS blocks are no longer orthogonal
-    with pytest.raises(DualityViolationError):
+    with pytest.raises(DualityViolationError, match=duality):
         build_qcsa_box(qu, qu, WORKED)
-    # orthogonality intact but a Cauchy entry is off
+    # orthogonality intact but a Cauchy entry of Qv is off
     tampered = FieldMatrix(GF5, [[2, 4], [2, 1]])
     assert (qcsa_matrix(WORKED).take_columns([1]).T @ tampered.take_columns([1])).is_zero()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=f"^{qv_off}$"):
         build_qcsa_box(qu, tampered, WORKED)
     assert qv != tampered
+    # Qu bumped in its Cauchy column, duality intact
+    bumped = FieldMatrix(GF5, qu.array + np.array([[1, 0], [0, 0]]))
+    assert (bumped.take_columns([1]).T @ qv.take_columns([1])).is_zero()
+    with pytest.raises(ParameterError, match=f"^{qu_off}$"):
+        build_qcsa_box(bumped, qv, WORKED)
+    # the order: duality before Qu, and Qu before Qv
+    with pytest.raises(DualityViolationError, match=duality):
+        build_qcsa_box(bumped, bumped, WORKED)
+    with pytest.raises(ParameterError, match=f"^{qu_off}$"):
+        build_qcsa_box(bumped, tampered, WORKED)
 
 
 def test_transmit():
@@ -449,6 +463,17 @@ def test_channel_and_checks_match_reference_formulas(n, l, q):
             assert list(checks.items()) == list(reference_verify_system(tampered).items())
             seen.add((checks["m_annihilates_g"], checks["m_inverts_h"]))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("n,l,q", DIFFERENTIAL_GRID)
+def test_build_qcsa_box_returns_the_systems_box(n, l, q):
+    field = PrimeField(q)
+    rng = np.random.default_rng((78, n, l, q))
+    for params in (QcsaParams.default(field, n, l), QcsaParams.random(field, n, l, rng)):
+        system = build_qcsa_system(params)
+        box = build_qcsa_box(system.qu, system.qv, params)
+        assert (box.M, box.G, box.H, box.pi) == (
+            system.box.M, system.box.G, system.box.H, system.box.pi)
 
 
 def test_verify_system_gathers_what_the_permutation_matrix_multiplies():

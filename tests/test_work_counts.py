@@ -1,0 +1,90 @@
+"""Each command computes its derived values once.
+
+Before each command the program's ``lru_cache`` tables are cleared, as
+``perfbench/run.py`` clears them, so every count is that of a fresh
+process.  The point is N = 12, L = 5, p = 2^31 - 1.
+"""
+
+import sys
+
+import pytest
+
+from qcsa import codes, field
+from qcsa.cli import main  # loads every qcsa module
+
+QCSA_MODULES = [module for name, module in sys.modules.items()
+                if name == "qcsa" or name.startswith("qcsa.")]
+POINT = ["--p", str(2**31 - 1), "--N", "12", "--L", "5"]
+
+
+def _clear_caches():
+    for module in QCSA_MODULES:
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def _count(monkeypatch, owner, name) -> list:
+    """A list that grows by one on each call of ``owner.name``, from any qcsa module."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
+    for module in QCSA_MODULES:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _primality_tests(monkeypatch) -> list:
+    """A list that grows by one per Miller-Rabin base that ``field.is_prime`` tries.
+
+    On a prime past the bases, one test tries every base once.
+    """
+    calls = []
+
+    def counted_pow(*args):
+        calls.append(None)
+        return pow(*args)
+
+    monkeypatch.setattr(field, "pow", counted_pow, raising=False)
+    return calls
+
+
+@pytest.fixture
+def bundle(tmp_path):
+    path = tmp_path / "bundle.json"
+    assert main(["construct", *POINT, "--out", str(path)]) == 0
+    return path
+
+
+def test_construct_derives_v_and_the_pair_once(tmp_path, monkeypatch):
+    _clear_caches()
+    duals = _count(monkeypatch, codes, "dual_multipliers")
+    pairs = _count(monkeypatch, codes, "qcsa_matrix")
+    rounds = _primality_tests(monkeypatch)
+    assert main(["construct", *POINT, "--out", str(tmp_path / "b.json")]) == 0
+    assert (len(duals), len(pairs), len(rounds) / len(field._MR_BASES)) == (1, 2, 1)
+
+
+def test_verify_tests_the_modulus_once(bundle, monkeypatch, capsys):
+    _clear_caches()
+    rounds = _primality_tests(monkeypatch)
+    assert main(["verify", str(bundle)]) == 0
+    assert len(rounds) / len(field._MR_BASES) == 1
+    assert capsys.readouterr().out.endswith("14/14 checks passed\n")
+
+
+def test_simulate_encodes_the_params_once(tmp_path, monkeypatch, capsys):
+    _clear_caches()
+    to_dict = _count(monkeypatch, codes.QcsaParams, "to_dict")
+    argv = ["simulate", *POINT, "--trials", "100", "--out", str(tmp_path / "t.jsonl")]
+    assert main(argv) == 0
+    assert len(to_dict) == 1
+    assert capsys.readouterr().err.startswith("100/100 trials passed")
