@@ -363,10 +363,6 @@ def _first_failure(reports) -> str | None:
             f"y[{i}] = {y[i]}, expected {expected[i]}")
 
 
-_RATE_COLUMNS = ["N", "L", "N'", "L'", "R_C", "R_Q", "dits_per_symbol",
-                 "qudits_per_symbol", "R_C_decimal", "R_Q_decimal"]
-
-
 def cmd_rates(args) -> int:
     n_lo, n_hi = args.N
     if n_lo < 2:
@@ -382,7 +378,7 @@ def cmd_rates(args) -> int:
         chunks = _json_document(rows)
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_RATE_COLUMNS, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         chunks = [buf.getvalue()]

@@ -11,6 +11,7 @@ pairing the channel construction needs.
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -82,13 +83,24 @@ def dual_multipliers(field: PrimeField, alpha, u) -> tuple:
     the [n, n-k] generator on (alpha, v) for every k.  Each factor is a
     nonzero difference of distinct points, so every v_j is nonzero.
     """
-    p = field.p
     spec = GrsSpec(field, len(alpha), 0, alpha, u)
     a = np.array(spec.alpha, dtype=np.int64)
-    prod = np.array(spec.u, dtype=np.int64)
-    for ai in spec.alpha:
-        prod = prod * np.where(a == ai, 1, a - ai) % p
-    return tuple(pow(x, -1, p) for x in prod.tolist())
+    prod = np.array(spec.u, dtype=np.int64) * _difference_products(a, a, field.p) % field.p
+    return tuple(pow(x, -1, field.p) for x in prod.tolist())
+
+
+def _difference_products(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """prod_j (x_i - y_j) mod p for each i, leaving out every y_j equal to x_i.
+
+    The differences sit in an array padded with ones to a power-of-two
+    width, and neighbouring columns are multiplied until one is left.
+    """
+    d = np.ones((len(x), 1 << max(len(y) - 1, 0).bit_length()), dtype=np.int64)
+    d[:, :len(y)] = (x[:, None] - y) % p
+    d[d == 0] = 1
+    while d.shape[1] > 1:
+        d = d[:, 0::2] * d[:, 1::2] % p
+    return d[:, 0]
 
 
 def check_room(field: PrimeField, n: int, l: int) -> None:
@@ -141,8 +153,38 @@ def csa_matrix(field: PrimeField, alpha, f) -> FieldMatrix:
 
 @lru_cache(maxsize=256)
 def _csa_inverse(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
-    """The one N x N inverse of C that classical decoding and M_Q share."""
-    return _csa_cached(p, alpha, f).inverse()
+    """The N x N inverse of C that classical decoding and M_Q share, in closed form.
+
+    With K = C[:, :L] and V = C[:, L:], C^{-1} = [-Diag(s) K^T ; J T V^T] Diag(c)
+    (Finck, Heinig & Rost, Linear Algebra Appl. 183, 1993), where
+    c_n = prod_j (alpha_n - f_j) / prod_{m != n} (alpha_n - alpha_m),
+    s_j = prod_m (f_j - alpha_m) / prod_{i != j} (f_j - f_i), T is the
+    lower-triangular Toeplitz matrix of the first N - L coefficients of the
+    series prod_m (1 - alpha_m x) / prod_j (1 - f_j x), and J reverses rows.
+    """
+    csa = _csa_cached(p, alpha, f).array
+    n, l = len(alpha), len(f)
+    # For each point z_i of alpha then f: prod (z_i - alpha_m) and prod (z_i - f_j),
+    # each without the factor z_i - z_i.
+    z = np.array(alpha + f, dtype=np.int64)
+    to_alpha, to_f = _difference_products(z, z[:n], p), _difference_products(z, z[n:], p)
+    inv = inverse_residues(np.concatenate([to_alpha[:n], to_f[n:]]), p)
+    c, s = to_f[:n] * inv[:n] % p, to_alpha[n:] * inv[n:] % p
+    # The series mod x**(N-L): the numerator's coefficients, then a division
+    # by the degree-L denominator, one coefficient g_k at a time.  Row k of
+    # T V^T is g_k + Diag(alpha) times row k - 1; J puts it at N - L - 1 - k.
+    num, den = np.zeros(n - l, dtype=np.int64), np.zeros(l + 1, dtype=np.int64)
+    num[0] = den[0] = 1
+    for poly, roots in ((num, alpha), (den, f)):
+        for x in roots:
+            poly[1:] -= x * poly[:-1]
+            poly %= p
+    den, g = den[1:].tolist(), []
+    row, tail = np.zeros(n, dtype=np.int64), np.empty((n - l, n), dtype=np.int64)
+    for k, e in enumerate(num.tolist()):
+        g.append((e - sum(map(mul, den, reversed(g[max(0, k - l):])))) % p)
+        row = tail[n - l - 1 - k] = (g[-1] + z[:n] * row) % p
+    return FieldMatrix(PrimeField(p), np.vstack([-s[:, None] * csa[:, :l].T % p, tail]) * c)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,11 @@ cross term [lo hi].[hi; lo], are each exact while 2k * 2**32 < 2**53; k is
 chunked beyond that.  The limb sums are recombined in int64 as
 hh * (2**32 mod p) + cross * 2**16 + ll, with hh and cross reduced first.
 
-Inverse and rank share one blocked Gauss-Jordan row reduction.  Columns
-are taken in panels of ``ELIM_BLOCK``: pivots are found on the tall panel
-alone, and the rest of the matrix is updated by products through the
-kernel above.  A matrix no wider than one panel gets a single unblocked
-pass.  The pivot rule is fixed (first nonzero entry in column order), so
-inverses, ranks and error cases are deterministic.
+Inverse and rank share one Gauss-Jordan row reduction, a single unblocked
+pass with one rank-one update per pivot.  No command runs it on a valid
+bundle: the CSA inverse has a closed form (``codes._csa_inverse``).  The
+pivot rule is fixed (first nonzero entry in column order), so inverses,
+ranks and error cases are deterministic.
 
 Shapes with zero rows or zero columns are legal values throughout: the
 channel construction produces identity blocks whose width can vanish, and
@@ -35,8 +34,6 @@ _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Largest k with 2k * 2**32 < 2**53.
 _LIMB_CHUNK = 2**20 - 1
-# Column width of one elimination panel; a matrix no wider gets one unblocked pass.
-ELIM_BLOCK = 32
 
 
 class SingularMatrixError(ArithmeticError):
@@ -63,14 +60,14 @@ def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _eliminate(a: np.ndarray, p: int, stop: int) -> tuple:
-    """Unblocked Gauss-Jordan on ``a`` in place, pivoting on columns [0, stop).
+def _eliminate(a: np.ndarray, p: int, stop: int) -> list:
+    """Reduced row echelon form of ``a`` in place, pivoting on columns [0, stop).
 
     The pivot of each column is its first nonzero entry at or below the
-    next pivot row.  Returns the pivot columns and the row swaps, in order.
+    next pivot row.  Returns the pivot columns, in order.
     """
     rows = a.shape[0]
-    pivots, swaps = [], []
+    pivots = []
     for col in range(stop):
         r = len(pivots)
         if r == rows:
@@ -81,7 +78,6 @@ def _eliminate(a: np.ndarray, p: int, stop: int) -> tuple:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-            swaps.append((r, piv))
         # Row r is zero left of col, so the update only needs columns col on.
         tail = a[:, col:]
         tail[r] = tail[r] * pow(int(tail[r, 0]), -1, p) % p
@@ -90,39 +86,6 @@ def _eliminate(a: np.ndarray, p: int, stop: int) -> tuple:
         tail -= np.outer(factors, tail[r])
         tail %= p
         pivots.append(col)
-    return pivots, swaps
-
-
-def _row_reduce(a: np.ndarray, p: int, stop: int) -> list:
-    """Reduced row echelon form of ``a`` in place, pivoting on columns [0, stop).
-
-    Columns are taken ELIM_BLOCK at a time.  For each panel, pivots are
-    found on a copy of its rows below the pivots so far (the same pivots the
-    unblocked pass would choose), swapped into place, and the pivot block
-    is inverted; then one product normalizes the pivot rows and one more
-    clears the panel's pivot columns from every other row.  Returns the
-    pivot columns.
-    """
-    if stop <= ELIM_BLOCK:
-        return _eliminate(a, p, stop)[0]
-    pivots = []
-    for c0 in range(0, stop, ELIM_BLOCK):
-        r = len(pivots)
-        panel = a[r:, c0:min(c0 + ELIM_BLOCK, stop)].copy()
-        found, swaps = _eliminate(panel, p, panel.shape[1])
-        if not found:
-            continue
-        for i, j in swaps:
-            a[[r + i, r + j]] = a[[r + j, r + i]]
-        k, cols = len(found), [c0 + j for j in found]
-        block = np.hstack([a[r:r + k, cols], np.eye(k, dtype=np.int64)])
-        _eliminate(block, p, k)
-        top = _mod_matmul(block[:, k:], a[r:r + k, c0:], p)
-        rest = a[:, c0:]
-        rest -= _mod_matmul(a[:, cols], top, p)
-        rest %= p
-        rest[r:r + k] = top
-        pivots += cols
     return pivots
 
 
@@ -358,14 +321,14 @@ class FieldMatrix:
             raise ValueError(f"only square matrices can be inverted, got {self.shape}")
         n, p = self.rows, self.field.p
         aug = np.hstack([self._data, np.eye(n, dtype=np.int64)])
-        if len(_row_reduce(aug, p, n)) < n:
+        if len(_eliminate(aug, p, n)) < n:
             raise SingularMatrixError(f"matrix is singular over GF({p})")
-        # A copy, so the cached inverses do not keep the n x 2n work array alive.
+        # A copy, so the inverse does not keep the n x 2n work array alive.
         return FieldMatrix._from_canonical(self.field, aug[:, n:].copy())
 
     def rank(self) -> int:
         """Pivot count of the row echelon form."""
-        return len(_row_reduce(self._data.copy(), self.field.p, self.cols))
+        return len(_eliminate(self._data.copy(), self.field.p, self.cols))
 
     # -- comparison and serialization ---------------------------------------
 
@@ -373,10 +336,6 @@ class FieldMatrix:
         if not isinstance(other, FieldMatrix):
             return NotImplemented
         return self.field.p == other.field.p and np.array_equal(self._data, other._data)
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def to_dict(self, arrays: bool = False) -> dict:
         """The entries in row-major order, as ints or, with ``arrays``, as one int64 array."""

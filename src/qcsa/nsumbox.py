@@ -306,7 +306,7 @@ def build_qcsa_system(params: QcsaParams) -> QcsaSystem:
     Block-Diag(Qu, Qv)^{-1}, and since Qu^{-1} = C^{-1} Diag(u)^{-1} and
     Qv^{-1} = C^{-1} Diag(v)^{-1}, its top rows are selected rows of
     C^{-1} Diag(u)^{-1} and its bottom rows selected rows of
-    C^{-1} Diag(v)^{-1}: one cached N x N inverse, no 2N x 2N one.
+    C^{-1} Diag(v)^{-1}.  C^{-1} has a closed form, so nothing is eliminated.
     """
     n, l, p = params.N, params.L, params.field.p
     v = dual_multipliers(params.field, params.alpha, params.beta)

@@ -83,6 +83,19 @@ def test_verify_fresh_bundle_passes(tmp_path, capsys):
     assert "PASS g_rank" in printed
 
 
+def test_verify_reads_a_fresh_bundle_without_json_load(tmp_path, capsys, monkeypatch):
+    """A valid bundle takes the array reader alone: the json.load re-read never runs."""
+    out = tmp_path / "bundle.json"
+    assert run_cli("construct", "--p", "65521", "--N", "64", "--L", "16", "--out", str(out)) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.load re-read a valid bundle")
+
+    monkeypatch.setattr(json, "load", refuse)
+    assert run_cli("verify", str(out)) == 0
+    assert capsys.readouterr().out.endswith("14/14 checks passed\n")
+
+
 @pytest.mark.parametrize("p,n,l", [(3, 2, 1), (11, 5, 2), (17, 7, 3), (101, 8, 4)])
 def test_construct_verify_fixed_point(tmp_path, p, n, l):
     out = tmp_path / "bundle.json"

@@ -7,6 +7,8 @@ from qcsa.codes import (
     GrsSpec,
     ParameterError,
     QcsaParams,
+    _csa_cached,
+    _csa_inverse,
     csa_matrix,
     dual_multipliers,
     grs_generator,
@@ -18,7 +20,8 @@ from qcsa.codes import (
 from qcsa.field import PrimeField
 from qcsa.matrix import FieldMatrix, hstack
 
-from oracles import csa_entries, dual_mult, grs_entries, qcsa_entries
+from oracles import adjugate_inverse, csa_entries, dual_mult, grs_entries, qcsa_entries
+from test_acceptance import GRID, PAIR_GRID
 
 GF5 = PrimeField(5)
 GF7 = PrimeField(7)
@@ -104,6 +107,44 @@ def test_csa_matrix_matches_entry_formula_and_is_invertible():
         m = csa_matrix(GF13, alpha, f)
         assert m.array.tolist() == csa_entries(list(alpha), list(f), 13)
         assert m.rank() == n
+
+
+def _check_closed_form_inverse(p, alpha, f):
+    """The closed-form C^{-1} against Gauss-Jordan, and for N <= 4 the adjugate."""
+    inv = _csa_inverse(p, tuple(alpha), tuple(f))
+    c = _csa_cached(p, tuple(alpha), tuple(f))
+    assert inv == c.inverse(), (p, alpha, f)
+    if len(alpha) <= 4:
+        assert inv.array.tolist() == adjugate_inverse(c.array.tolist(), p), (p, alpha, f)
+
+
+@pytest.mark.parametrize("n,l,q", GRID + [(n, l, 2**31 - 1) for n, l in PAIR_GRID])
+def test_closed_form_csa_inverse_on_the_differential_grid(n, l, q):
+    field = PrimeField(q)
+    rng = np.random.default_rng((11, n, l, q))
+    for params in (QcsaParams.default(field, n, l), QcsaParams.random(field, n, l, rng)):
+        _check_closed_form_inverse(q, params.alpha, params.f)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 101, 65521, 2**31 - 1])
+def test_closed_form_csa_inverse_for_every_small_shape(p):
+    """Every 2 <= N <= 12 and 1 <= L < N that fits in GF(p): default points
+    (0 among alpha), random points, and random points with 0 among f."""
+    rng = np.random.default_rng(p)
+    shapes = [(n, l) for n in range(2, 13) for l in range(1, n) if n + l <= p]
+    for n, l in shapes:
+        drawn = [int(x) for x in rng.choice(p, size=n + l, replace=False)]
+        with_zero = [x for x in drawn if x != 0][:n + l - 1]
+        with_zero.insert(n, 0)
+        for points in (list(range(n + l)), drawn, with_zero):
+            _check_closed_form_inverse(p, points[:n], points[n:])
+
+
+@pytest.mark.parametrize("n,l,p", [(256, 64, 65521), (255, 64, 2**31 - 1)])
+def test_closed_form_csa_inverse_at_the_benchmark_sizes(n, l, p):
+    _check_closed_form_inverse(p, range(n), range(n, n + l))
+    drawn = np.random.default_rng(n).choice(p, size=n + l, replace=False).tolist()
+    _check_closed_form_inverse(p, drawn[:n], drawn[n:])
 
 
 def test_csa_matrix_rejects_collisions():

@@ -1,9 +1,10 @@
-"""Differential tests of the float64 GF(p) product and the blocked row reduction.
+"""Differential tests of the float64 GF(p) product and the row reduction.
 
 ``int64_matmul``, ``unblocked_inverse`` and ``unblocked_rank`` are the
-int64 kernels the package used before its products moved to float64 BLAS
-and its elimination to panels; they stay here as referees for shapes too
-large for ``tests/oracles.py``.  Every comparison is exact equality.
+int64 kernels the package used before its products moved to float64 BLAS;
+they stay here as referees for shapes too large for ``tests/oracles.py``.
+The sizes around B = 32 were once the package's panel boundaries and stay
+as cases.  Every comparison is exact equality.
 """
 
 from operator import mul
@@ -23,7 +24,7 @@ from oracles import adjugate_inverse, matmul
 # One float64 product serves k <= 2 at 67108859, only k = 1 at 67108879 and
 # no k at 2**31 - 1, so the three sit on either side of the float bound.
 PRIMES = (2, 3, 101, 65521, 67108859, 67108879, MAX_MODULUS)
-B = matrix.ELIM_BLOCK
+B = 32
 
 
 def int64_matmul(a, b, p):
@@ -206,7 +207,7 @@ def test_inverse_residues_reject_zero():
         inverse_residues(np.array([3, 0, 2]), 5)
 
 
-# -- the blocked row reduction -----------------------------------------------
+# -- the row reduction ----------------------------------------------------------
 
 SIZES = (0, 1, B - 1, B, B + 1, 2 * B + 1, 255, 256)
 
@@ -234,11 +235,11 @@ def test_inverse_and_rank_at_panel_boundaries(p, n):
         assert FieldMatrix(field, m).rank() == unblocked_rank(m, p), shape
 
 
-@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_narrow_panels_against_the_adjugate(monkeypatch, p, block):
-    monkeypatch.setattr(matrix, "ELIM_BLOCK", block)
-    rng = np.random.default_rng(block * 100 + p)
+def test_narrow_panels_against_the_adjugate(p, seed):
+    """Small inverses, singular cases and ranks at tiny p, three random rounds each."""
+    rng = np.random.default_rng(seed * 100 + p)
     field = PrimeField(p)
     for _ in range(60):
         n = int(rng.integers(1, 6))

@@ -1,4 +1,4 @@
-"""Each command computes its derived values once.
+"""Each command computes its derived values once, and none eliminates.
 
 Before each command the program's ``lru_cache`` tables are cleared, as
 ``perfbench/run.py`` clears them, so every count is that of a fresh
@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qcsa import codes, field
+from qcsa import codes, field, matrix
 from qcsa.cli import main  # loads every qcsa module
 
 QCSA_MODULES = [module for name, module in sys.modules.items()
@@ -88,3 +88,19 @@ def test_simulate_encodes_the_params_once(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert len(to_dict) == 1
     assert capsys.readouterr().err.startswith("100/100 trials passed")
+
+
+def test_no_command_eliminates(bundle, tmp_path, monkeypatch, capsys):
+    """C^{-1} has a closed form and verify takes the premise path, so no
+    command runs Gauss-Jordan on a valid bundle."""
+    eliminations = _count(monkeypatch, matrix, "_eliminate")
+    counts = {}
+    for argv in (["construct", *POINT, "--out", str(tmp_path / "b.json")],
+                 ["verify", str(bundle)],
+                 ["simulate", *POINT, "--trials", "100", "--out", str(tmp_path / "t.jsonl")]):
+        _clear_caches()
+        assert main(argv) == 0
+        counts[argv[0]] = len(eliminations)
+        eliminations.clear()
+    assert counts == {"construct": 0, "verify": 0, "simulate": 0}
+    assert capsys.readouterr().out.endswith("14/14 checks passed\n")
