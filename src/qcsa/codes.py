@@ -235,7 +235,7 @@ class QcsaParams:
         return cls(field, n, l, alpha, tuple(beta), f)
 
     @classmethod
-    def random(cls, field: PrimeField, n: int, l: int, rng: np.random.Generator) -> "QcsaParams":
+    def random(cls, field: PrimeField, n: int, l: int, rng: "np.random.Generator") -> "QcsaParams":
         """Random distinct points and nonzero multipliers from ``rng``."""
         check_room(field, n, l)
         points = rng.choice(field.p, size=n + l, replace=False)

@@ -255,25 +255,6 @@ class FieldMatrix:
         product = _mod_matmul(self._data, other._data, self.field.p)
         return FieldMatrix._from_canonical(self.field, product)
 
-    def __add__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FieldMatrix(self.field, self._data + other._data)
-
-    def __sub__(self, other):
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        self._check_field(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return FieldMatrix(self.field, self._data - other._data)
-
-    def __neg__(self):
-        return FieldMatrix(self.field, -self._data)
-
     def scale_rows(self, values) -> "FieldMatrix":
         """Diag(values) @ self, without forming the diagonal matrix."""
         vec = as_residue_vector(self.field, values, self.rows)
@@ -397,24 +378,9 @@ class Permutation:
             raise ValueError(f"not a bijection on [1..{len(img)}]: {img}")
         self.image = img
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
     @property
     def n(self) -> int:
         return len(self.image)
-
-    def __call__(self, j: int) -> int:
-        if not 1 <= j <= self.n:
-            raise IndexError(f"index {j} outside [1..{self.n}]")
-        return self.image[j - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for j, target in enumerate(self.image, start=1):
-            inv[target - 1] = j
-        return Permutation(inv)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation):
@@ -423,9 +389,6 @@ class Permutation:
 
     def __hash__(self) -> int:
         return hash(self.image)
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:
         return f"Permutation{self.image}"

@@ -23,13 +23,15 @@ Block-Diag(Qu, Qv) at one fixed layout, and because Qu = Diag(u) C and
 Qv = Diag(v) C for the one CSA matrix C, M's top rows are selected rows
 of C^{-1} Diag(u)^{-1} and its bottom rows selected rows of
 C^{-1} Diag(v)^{-1}, so the synthesis never inverts a 2N x 2N matrix.
-``build_qcsa_box`` checks a supplied pair against that system.
+``build_qcsa_box`` checks a supplied pair against that system, with the
+pair checks of ``verify_system``.
 
 ``verify_system`` re-checks a bundle through the same algebra.  When pi is
 the layout, [G H] is the gather of Block-Diag(Qu, Qv) and Qu, Qv are the
 pair the parameters give, rank G = N, G^T J G = 0, rank [G H] = 2N, MG = 0
 and MH = I follow from the parameter, duality, gather and selector checks
 it makes anyway; any other bundle gets the dense checks of ``verify_box``.
+Both paths fill in the same seven box checks, defined once.
 """
 
 from dataclasses import dataclass
@@ -164,22 +166,6 @@ class NSumBox:
     def transmit(self, x) -> np.ndarray:
         """Receiver's measurement outcome y = M x for a 2N-long input."""
         return self.M.matvec(x)
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.field.p,
-            "N": self.N,
-            "M": self.M.to_dict(),
-            "G": self.G.to_dict(),
-            "H": self.H.to_dict(),
-            "pi": self.pi.to_dict() if self.pi is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NSumBox":
-        """Strict inverse of :meth:`to_dict`; every error names the key at fault."""
-        field = PrimeField(json_int(doc["p"], "p"))
-        return _box_from_dict(doc, field, json_int(doc["N"], "N"), "M")
 
 
 def _parse(doc: dict, key: str, parse):
@@ -329,17 +315,27 @@ def build_qcsa_box(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams) -> NSum
     system's Diag(u) C and Qv its Diag(v) C (ParameterError each).
     """
     system = build_qcsa_system(params)
-    gamma_top = qcsa_grs_submatrix(qu, params, params.half_ceil)
-    gamma_bot = qcsa_grs_submatrix(qv, params, params.half_floor)
-    if not (gamma_top.T @ gamma_bot).is_zero():
+    checks = _pair_checks(qu, qv, params, system.v)
+    if not checks["grs_duality"]:
         raise DualityViolationError(
             "GRS blocks of the supplied pair are not mutually orthogonal"
         )
-    if qu != system.qu:
+    if not checks["qu_matches_params"]:
         raise ParameterError("Qu does not match the matrix rebuilt from (alpha, u, f)")
-    if qv != system.qv:
+    if not checks["qv_matches_dual"]:
         raise ParameterError("Qv does not match the dual matrix rebuilt from (alpha, u, f)")
     return system.box
+
+
+def _pair_checks(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams, v: tuple) -> dict:
+    """The pair checks of ``verify_system``, in its order; ``v`` is the dual of ``params.beta``."""
+    gamma_top = qcsa_grs_submatrix(qu, params, params.half_ceil)
+    gamma_bot = qcsa_grs_submatrix(qv, params, params.half_floor)
+    return {
+        "qu_matches_params": qu == qcsa_matrix(params),
+        "qv_matches_dual": qv == qcsa_matrix(params.with_beta(v)),
+        "grs_duality": (gamma_top.T @ gamma_bot).is_zero(),
+    }
 
 
 def _shapes(box: NSumBox) -> bool:
@@ -347,28 +343,43 @@ def _shapes(box: NSumBox) -> bool:
     return box.M.shape == (n, 2 * n) and box.G.shape == (2 * n, n) and box.H.shape == (2 * n, n)
 
 
-def verify_box(box: NSumBox) -> dict:
-    """Re-check the feasibility invariants of a (possibly deserialized) box."""
-    field, n = box.field, box.N
+def _box_checks(box: NSumBox, proven: tuple | None = None) -> dict:
+    """The seven box checks, ``shapes`` to ``m_inverts_h``, computed from the box.
+
+    ``proven`` replaces that by the verdicts (MG = 0, MH = I, G^T J G = 0) of
+    a premise that also proves rank G = N and rank [G H] = 2N.
+    """
+    n = box.N
     checks = {"shapes": _shapes(box)}
     if not checks["shapes"]:
         return checks
-    checks["g_rank"] = box.G.rank() == n
-    checks["g_symplectic_orthogonal"] = _symplectic_orthogonal(box.G)
-    annihilates = (box.M @ box.G).is_zero()
-    inverts = box.M @ box.H == FieldMatrix.identity(field, n)
+    ranks_proven = proven is not None
+    if ranks_proven:
+        annihilates, inverts, symplectic = proven
+    else:
+        annihilates = (box.M @ box.G).is_zero()
+        inverts = box.M @ box.H == FieldMatrix.identity(box.field, n)
+        symplectic = _symplectic_orthogonal(box.G)
+    checks["g_rank"] = ranks_proven or box.G.rank() == n
+    checks["g_symplectic_orthogonal"] = symplectic
     # If rank G = N, MG = 0 and MH = I, then [G H] is invertible: applying M
     # to [G H](a, b) = 0 gives b = 0, and then G a = 0 gives a = 0.  And
     # M [G H] = (0 I) fixes M = (0 I)[G H]^{-1} uniquely.  So the 2N x 2N
     # rank is only needed when one of the cheap checks already failed.
     checks["gh_full_rank"] = (
-        (checks["g_rank"] and annihilates and inverts)
+        ranks_proven
+        or (checks["g_rank"] and annihilates and inverts)
         or hstack([box.G, box.H]).rank() == 2 * n
     )
     checks["m_from_gh"] = checks["gh_full_rank"] and annihilates and inverts
     checks["m_annihilates_g"] = annihilates
     checks["m_inverts_h"] = inverts
     return checks
+
+
+def verify_box(box: NSumBox) -> dict:
+    """Re-check the feasibility invariants of a (possibly deserialized) box."""
+    return _box_checks(box)
 
 
 def verify_system(system: QcsaSystem) -> dict:
@@ -382,14 +393,9 @@ def verify_system(system: QcsaSystem) -> dict:
     params = system.params
     field, n, l = params.field, params.N, params.L
     box = system.box
-    checks = {}
     v = dual_multipliers(field, params.alpha, params.beta)
-    checks["dual_multipliers"] = tuple(system.v) == v
-    checks["qu_matches_params"] = system.qu == qcsa_matrix(params)
-    checks["qv_matches_dual"] = system.qv == qcsa_matrix(params.with_beta(v))
-    gamma_top = qcsa_grs_submatrix(system.qu, params, params.half_ceil)
-    gamma_bot = qcsa_grs_submatrix(system.qv, params, params.half_floor)
-    checks["grs_duality"] = (gamma_top.T @ gamma_bot).is_zero()
+    checks = {"dual_multipliers": tuple(system.v) == v}
+    checks.update(_pair_checks(system.qu, system.qv, params, v))
     layout = _layout(n, l)
     cols = np.array(layout) - 1
     tail = {"pi_present": box.pi is not None}
@@ -426,15 +432,7 @@ def verify_system(system: QcsaSystem) -> dict:
         #   and [G H]: rank [G H] = 2N.
         # - M [G H] = W gathered at the layout, so MG = 0 and MH = I are
         #   the two halves of selector_identity.
-        checks.update(
-            shapes=True,
-            g_rank=True,
-            g_symplectic_orthogonal=checks["grs_duality"],
-            gh_full_rank=True,
-            m_from_gh=tail["selector_identity"],
-            m_annihilates_g=annihilates,
-            m_inverts_h=inverts,
-        )
+        checks.update(_box_checks(box, (annihilates, inverts, checks["grs_duality"])))
     else:
         checks.update(verify_box(box))
     checks.update(tail)

@@ -13,16 +13,15 @@ factor-2 superdense gain shows up.
 Symbols are drawn from a seedable PCG64 generator and every report records
 the seed, so trials replay bit-exactly.  Both :func:`run_trials` and
 :func:`qcsa_roundtrip` run on one engine, prepared once per
-:class:`~qcsa.nsumbox.QcsaSystem`: trial t draws its 2N symbols in one
-``integers(0, p, size=2N)`` call from the stream ``(seed, t)`` into
-column t of a 2N x T stack, and the T trials are then encoded, scaled,
-transmitted and compared together as N x T products (T at most
-``TRIAL_BLOCK`` per batch; a single round trip is a batch of one).  One
-draw of 2N symbols equals the four draws of :func:`make_instances`
-(delta(1), nu(1), delta(2), nu(2)), so ``qcsa_roundtrip(params, (seed, t))``
-replays any trial of a batch on its own.  :func:`make_instances`,
-:func:`server_scale` and :meth:`SchemeInstance.from_symbols` remain the
-per-server operations, for hand-built inputs; no trial runs through them.
+:class:`~qcsa.nsumbox.QcsaSystem`: trial t draws its 2N symbols
+delta(1), nu(1), delta(2), nu(2) in one ``integers(0, p, size=2N)`` call
+from the stream ``(seed, t)`` into column t of a 2N x T stack, and the T
+trials are then encoded, scaled, transmitted and compared together as
+N x T products (T at most ``TRIAL_BLOCK`` per batch; a single round trip
+is a batch of one), so ``qcsa_roundtrip(params, (seed, t))`` replays any
+trial of a batch on its own.  :func:`server_scale` and
+:meth:`SchemeInstance.from_symbols` remain the per-server operations, for
+hand-built inputs; no trial runs through them.
 """
 
 from dataclasses import dataclass
@@ -70,18 +69,8 @@ class SchemeInstance:
 
 
 def make_instances(params: QcsaParams, seed) -> tuple:
-    """Two CSA instances with symbols drawn uniformly from GF(q).
-
-    Draw order is instance 1 (delta then nu), instance 2 (delta then nu),
-    so a recorded seed replays the exact trial.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for index in (1, 2):
-        delta = rng.integers(0, params.field.p, size=params.L)
-        nu = rng.integers(0, params.field.p, size=params.N - params.L)
-        out.append(SchemeInstance.from_symbols(params, index, delta, nu))
-    return tuple(out)
+    """The two CSA instances of ``qcsa_roundtrip(params, seed)``; a seed is an int or ints."""
+    return qcsa_roundtrip(params, seed).instances
 
 
 def classical_decode(answers, params: QcsaParams) -> np.ndarray:

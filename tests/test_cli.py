@@ -693,6 +693,17 @@ def test_module_entry_point():
     assert "1/4" in proc.stdout
 
 
+def test_import_leaves_numpy_random_unloaded():
+    """Only simulate draws symbols, so no other command should pay for numpy.random."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qcsa.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_usage_errors_exit_2():
     assert run_cli("construct", "--p", "5", "--N", "2") == 2  # missing --L
     assert run_cli("nonsense") == 2

@@ -1,8 +1,9 @@
 """Differential tests of the float64 GF(p) product and the row reduction.
 
-``int64_matmul``, ``unblocked_inverse`` and ``unblocked_rank`` are the
-int64 kernels the package used before its products moved to float64 BLAS;
-they stay here as referees for shapes too large for ``tests/oracles.py``.
+``int64_matmul`` and ``unblocked_rank`` are the int64 kernels the package
+used before its products moved to float64 BLAS; they stay here as referees
+for shapes too large for ``tests/oracles.py``.  An inverse needs no such
+referee: ``A @ inv == I`` fixes it uniquely.
 The sizes around B = 32 were once the package's panel boundaries and stay
 as cases.  Every comparison is exact equality.
 """
@@ -39,24 +40,6 @@ def int64_matmul(a, b, p):
         out += a[:, k:k + step] @ b[k:k + step, :]
         out %= p
     return out
-
-
-def unblocked_inverse(data, p):
-    n = data.shape[0]
-    aug = np.hstack([data, np.eye(n, dtype=np.int64)])
-    for col in range(n):
-        nz = np.nonzero(aug[col:, col])[0]
-        if nz.size == 0:
-            raise SingularMatrixError(f"matrix is singular over GF({p})")
-        piv = col + int(nz[0])
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] * pow(int(aug[col, col]), -1, p) % p
-        others = np.nonzero(aug[:, col])[0]
-        others = others[others != col]
-        if others.size:
-            aug[others] = (aug[others] - np.outer(aug[others, col], aug[col])) % p
-    return aug[:, n:]
 
 
 def unblocked_rank(data, p):
@@ -226,7 +209,6 @@ def test_inverse_and_rank_at_panel_boundaries(p, n):
     a = random_invertible(p, n, rng)
     field = PrimeField(p)
     inv = FieldMatrix(field, a).inverse()
-    assert np.array_equal(inv.array, unblocked_inverse(a, p))
     if n <= 4:
         assert inv.array.tolist() == (adjugate_inverse(a.tolist(), p) if n else [])
     assert FieldMatrix(field, a) @ inv == FieldMatrix.identity(field, n)
@@ -292,11 +274,17 @@ def test_rank_deficient_panels(p):
 @pytest.mark.parametrize("p", [65521, MAX_MODULUS])
 @pytest.mark.parametrize("n,l", [(2 * B + 3, 20), (256, 64)])
 def test_channel_matrices_reduce_like_the_unblocked_loops(p, n, l):
-    system = build_qcsa_system(QcsaParams.default(PrimeField(p), n, l))
+    """The construction proves every rank here, so the ranks are known exactly.
+
+    G is SSO and M H = I, so G, G^T, M and M^T have rank N; [G H] and Qu
+    are invertible.
+    """
+    field = PrimeField(p)
+    system = build_qcsa_system(QcsaParams.default(field, n, l))
     g, h, m = system.box.G, system.box.H, system.box.M
     gh = hstack([g, h])
-    for mat in (g, g.T, m, m.T, gh):
-        assert mat.rank() == unblocked_rank(mat.array, p)
-    assert g.rank() == n and gh.rank() == 2 * n
-    assert np.array_equal(gh.inverse().array, unblocked_inverse(gh.array, p))
-    assert np.array_equal(system.qu.inverse().array, unblocked_inverse(system.qu.array, p))
+    for mat in (g, g.T, m, m.T):
+        assert mat.rank() == n
+    assert gh.rank() == 2 * n
+    assert gh @ gh.inverse() == FieldMatrix.identity(field, 2 * n)
+    assert system.qu @ system.qu.inverse() == FieldMatrix.identity(field, n)

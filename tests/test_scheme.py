@@ -281,6 +281,7 @@ def test_one_draw_of_2n_symbols_equals_the_four_instance_draws(n, l, q):
         i1, i2 = make_instances(params, seed)
         one_draw = np.random.default_rng(seed).integers(0, q, size=2 * n)
         assert one_draw.tolist() == list(i1.delta + i1.nu + i2.delta + i2.nu)
+        assert (i1, i2) == qcsa_roundtrip(params, seed).instances
 
 
 def test_reduce_servers_examples():
