@@ -10,22 +10,25 @@ receiver's N-symbol measurement already contains both desired blocks
 Two instances then cost N qudits instead of 2N dits, which is where the
 factor-2 superdense gain shows up.
 
-Symbols are drawn from a seedable PCG64 generator and every report records
+Symbols are drawn from a seedable PCG64 stream and every report records
 the seed, so trials replay bit-exactly.  Both :func:`run_trials` and
 :func:`qcsa_roundtrip` run on one engine, prepared once per
 :class:`~qcsa.nsumbox.QcsaSystem`: trial t draws its 2N symbols
-delta(1), nu(1), delta(2), nu(2) in one ``integers(0, p, size=2N)`` call
-from the stream ``(seed, t)`` into column t of a 2N x T stack, and the T
-trials are then encoded, scaled, transmitted and compared together as
-N x T products (T at most ``TRIAL_BLOCK`` per batch; a single round trip
-is a batch of one), so ``qcsa_roundtrip(params, (seed, t))`` replays any
-trial of a batch on its own.  :func:`server_scale` and
+delta(1), nu(1), delta(2), nu(2) into column t of a 2N x T stack as
+numpy's ``default_rng((seed, t)).integers(0, p, size=2N)``, replayed
+exactly by :mod:`qcsa.stream` for the whole block at once (so the draws do
+not depend on the installed numpy).  The T trials are then encoded,
+scaled, transmitted and compared together as N x T products (T at most
+``TRIAL_BLOCK`` per batch; a single round trip is a batch of one), so
+``qcsa_roundtrip(params, (seed, t))`` replays any trial of a batch on its
+own.  :func:`server_scale` and
 :meth:`SchemeInstance.from_symbols` remain the per-server operations, for
 hand-built inputs; no trial runs through them.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -103,13 +106,18 @@ def server_scale(field: PrimeField, a1, a2, u, v) -> np.ndarray:
 class _TrialEngine:
     """One system's trial pipeline, with everything but the draws prepared once.
 
-    Holds the CSA matrix C, the stacked multipliers [u; v] (checked
-    nonzero here), M_Q, the selector gather and the per-trial costs.  The
-    products go to ``_mod_matmul`` directly, whose exactness bounds hold
-    only for canonical residues, so every operand is reduced mod p first.
+    Holds the draw of 2N symbols mod p, the CSA matrix C, the stacked
+    multipliers [u; v] (checked nonzero here), M_Q, the selector gather
+    and the per-trial costs.  The products go to ``_mod_matmul`` directly,
+    whose exactness bounds hold only for canonical residues, so every
+    operand is reduced mod p first.
     """
 
     def __init__(self, system: QcsaSystem):
+        # Imported with the first engine, not with ``import qcsa``: construct
+        # and verify never draw, so they need not compile the module.
+        from .stream import draws
+
         params = system.params
         field, n, l = params.field, params.N, params.L
         uv = np.concatenate([as_residue_vector(field, system.u, n),
@@ -117,6 +125,7 @@ class _TrialEngine:
         if not uv.all():
             raise ParameterError("scaling multipliers must be nonzero")
         self.p, self.n = field.p, n
+        self.draw = partial(draws, p=field.p, count=2 * n)
         self.csa = csa_matrix(field, params.alpha, params.f).array
         self.uv = uv[:, None]
         self.m_q = system.box.M.array
@@ -129,21 +138,20 @@ class _TrialEngine:
         }
 
     def run(self, seeds) -> tuple:
-        """Trial j of the batch draws from ``default_rng(seeds[j])``.
+        """Trial j of the batch draws from the PCG64 stream of ``seeds[j]``.
 
         Returns four arrays with one column per trial:
 
-        1. draw: the 2N x T stack S, column j being one
-           ``integers(0, p, size=2N)`` call;
+        1. draw: the 2N x T stack S, column j being numpy's
+           ``default_rng(seeds[j]).integers(0, p, size=2N)``, replayed
+           exactly by :func:`qcsa.stream.draws`;
         2. encode: the answers A = [C S[:N]; C S[N:]];
         3. scale and transmit: Y = M_Q (Diag(u, v) A mod p);
         4. predict: M_Q Block-Diag(Qu, Qv) is the selector, so the expected
            output is the row gather S[selector_row_indices(N, L) - 1].
         """
         n, p = self.n, self.p
-        symbols = np.empty((2 * n, len(seeds)), dtype=np.int64)
-        for j, seed in enumerate(seeds):
-            symbols[:, j] = np.random.default_rng(seed).integers(0, p, size=2 * n)
+        symbols = self.draw(seeds)
         answers = np.concatenate([_mod_matmul(self.csa, symbols[:n], p),
                                   _mod_matmul(self.csa, symbols[n:], p)])
         y = _mod_matmul(self.m_q, self.uv * answers % p, p)

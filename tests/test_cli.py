@@ -208,6 +208,10 @@ SIMULATE_DIGESTS = [
     (("--p", "101", "--N", "5", "--L", "2", "--alpha", "7,3,50,11,99", "--f", "20,64",
       "--u", "5,17,1,88,42", "--seed", "3", "--trials", "20"),
      "30c0ec7faa2738d95d008274647d05a3e67715f585e47cd56c7217105e8a0c50"),
+    # p = 2^30 + 3 rejects about one 32-bit draw in four in Lemire's bounded
+    # method, which no smaller golden modulus does.
+    (("--p", "1073741827", "--N", "12", "--L", "5", "--trials", "300"),
+     "b49c664c0880367069d553ee098a77663a1621f73d0103159ed7f0e93975bf72"),
 ]
 SIMULATE_IDS = ["-".join(args[1:6:2]) + ("-points" if "--alpha" in args else "")
                 for args, _ in SIMULATE_DIGESTS]
@@ -693,15 +697,31 @@ def test_module_entry_point():
     assert "1/4" in proc.stdout
 
 
-def test_import_leaves_numpy_random_unloaded():
-    """Only simulate draws symbols, so no other command should pay for numpy.random."""
+def _loads_numpy_random(code: str) -> bool:
+    """Whether a fresh interpreter has numpy.random loaded after running ``code``."""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, qcsa.cli; print('numpy.random' in sys.modules)"],
+        [sys.executable, "-c", f"import sys; {code}; print('numpy.random' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout == "True\n"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """No command should pay for importing numpy.random."""
+    if _loads_numpy_random("import numpy"):
+        pytest.skip("this numpy imports numpy.random itself")
+    assert not _loads_numpy_random("import qcsa.cli")
+
+
+def test_simulate_leaves_numpy_random_unloaded(tmp_path):
+    """simulate replays its streams itself (qcsa.stream), without numpy.random."""
+    if _loads_numpy_random("import numpy"):
+        pytest.skip("this numpy imports numpy.random itself")
+    out = tmp_path / "trials.jsonl"
+    argv = ["simulate", "--p", "101", "--N", "6", "--L", "2", "--trials", "300", "--out", str(out)]
+    assert not _loads_numpy_random(f"import qcsa.cli; qcsa.cli.main({argv!r})")
+    assert len(out.read_text().splitlines()) == 301
 
 
 def test_usage_errors_exit_2():
@@ -731,8 +751,9 @@ def test_oversized_inputs_are_parameter_errors(tmp_path, capsys, argv):
 
 
 def test_negative_seed_is_a_parameter_error(tmp_path, capsys):
-    # default_rng((seed, t)) rejects a negative seed; this once left the CLI
-    # as "internal error", exit 1.
+    # The stream (seed, t) has no negative seeds: qcsa.stream raises
+    # ValueError for one, as numpy's SeedSequence does.  This once left the
+    # CLI as "internal error", exit 1.
     out = tmp_path / "trials.jsonl"
     assert run_cli("simulate", "--p", "13", "--N", "4", "--L", "2", "--seed", "-1",
                    "--out", str(out)) == 2

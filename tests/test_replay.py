@@ -1,0 +1,174 @@
+"""``qcsa.stream`` against numpy's own SeedSequence, PCG64 and Generator.integers.
+
+numpy is the referee here and nowhere in ``src/qcsa``: each stage of the
+replay, and every whole column, must equal what numpy computes for the
+same seed, on both the array path and the Python-int path.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qcsa import stream
+from qcsa.scheme import TRIAL_BLOCK
+
+from test_scheme import DIFFERENTIAL_GRID
+
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5]
+SEEDS = EDGE_SEEDS + [(s, t) for s in EDGE_SEEDS for t in (0, 1, 2**32 - 1, 2**32)] + [
+    (1004, 12, 6, 101, 999),  # criterion 4's seeds have five words
+    (1004, 2, 1, 3, 0),
+    (np.int64(7), np.uint32(3)),
+    np.uint64(2**64 - 1),
+    [],
+    [[1, 2], (3,)],
+    range(6),
+    np.arange(5, dtype=np.uint32),
+    True,
+]
+# 2^30 + 3 rejects about a quarter of all 32-bit draws, 1431655777 about a third.
+MODULI = sorted({q for _, _, q in DIFFERENTIAL_GRID} | {2, 2**30 + 3, 1431655777})
+# One block per entropy length: 2 words (padded to 4), 3, 5 and 8.
+BLOCKS = {
+    "two-words": [(9, t) for t in range(12)],
+    "three-words": [(2**40 + 1, t) for t in range(12)],
+    "five-words": [(1004, 12, 6, 101, t) for t in range(12)],
+    "eight-words": [(1, 2, 3, 4, 5, 6, 7, t) for t in range(12)],
+}
+
+
+def referee(seed, p: int, count: int) -> list:
+    return np.random.default_rng(seed).integers(0, p, size=count).tolist()
+
+
+def from_limbs(limbs) -> int:
+    return sum(int(v) << 32 * i for i, v in enumerate(limbs))
+
+
+def block_words(seeds) -> np.ndarray:
+    """The (n_words, T) uint32 entropy words of seeds that have equally many."""
+    words = [stream.entropy_words(s) for s in seeds]
+    n_words = max(len(words[0]), stream.POOL_SIZE)
+    return np.array([w + [0] * (n_words - len(w)) for w in words], dtype=np.uint32).T
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+def test_seed_words_and_pcg64_state_match_numpy(seed):
+    w = stream.seed_words(seed)
+    state = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+    assert [w[2 * k] | w[2 * k + 1] << 32 for k in range(4)] == state
+    pcg = np.random.PCG64(seed).state["state"]
+    assert stream.pcg64_state(seed) == (pcg["state"], pcg["inc"])
+
+
+@pytest.mark.parametrize("seeds", BLOCKS.values(), ids=BLOCKS.keys())
+def test_block_seeding_matches_numpy(seeds):
+    init, inc = stream._block_states(block_words(seeds))
+    for j, seed in enumerate(seeds):
+        val = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        assert from_limbs(init[:, j]) == val[0] << 64 | val[1]
+        assert from_limbs(inc[:, j]) == np.random.PCG64(seed).state["state"]["inc"]
+
+
+@pytest.mark.parametrize("p", MODULI)
+def test_columns_match_numpy(p):
+    seeds = SEEDS + BLOCKS["two-words"]
+    for count in (1, 2, 3, 24, 128):
+        got = stream.draws(seeds, p, count)
+        assert got.dtype == np.int64 and got.shape == (count, len(seeds))
+        for j, seed in enumerate(seeds):
+            assert got[:, j].tolist() == referee(seed, p, count), (seed, count)
+
+
+@pytest.mark.parametrize("p", [101, 2**30 + 3, 2**31 - 1])
+def test_a_block_across_t_2_32_mixes_entropy_lengths(p):
+    seeds = [(5, t) for t in range(2**32 - 8, 2**32 + 8)]
+    assert sorted({len(stream.entropy_words(s)) for s in seeds}) == [2, 3]
+    got = stream.draws(seeds, p, 24)
+    assert [got[:, j].tolist() for j in range(len(seeds))] == [referee(s, p, 24) for s in seeds]
+
+
+@pytest.mark.parametrize("p", [101, 2**30 + 3, 1431655777, 2**31 - 1])
+@pytest.mark.parametrize("width", [1, stream.VECTOR_MIN - 1, stream.VECTOR_MIN, TRIAL_BLOCK])
+def test_array_and_scalar_paths_agree(width, p, monkeypatch):
+    seeds = [(11, t) for t in range(width)]
+    got, rejected = stream._vector_draws(*stream._block_states(block_words(seeds)), p, 24)
+    for j in np.flatnonzero(~rejected).tolist():
+        assert got[:, j].tolist() == stream._column(*stream.pcg64_state(seeds[j]), p, 24)
+    monkeypatch.setattr(stream, "VECTOR_MIN", 1)
+    array_path = stream.draws(seeds, p, 24)
+    monkeypatch.setattr(stream, "VECTOR_MIN", width + 1)
+    assert np.array_equal(stream.draws(seeds, p, 24), array_path)
+    monkeypatch.undo()
+    assert np.array_equal(stream.draws(seeds, p, 24), array_path)
+    if width == TRIAL_BLOCK:
+        assert referee(seeds[-1], p, 24) == array_path[:, -1].tolist()
+
+
+def test_rejected_columns_leave_the_array_path():
+    seeds = [(3, t) for t in range(64)]
+    states = stream._block_states(block_words(seeds))
+    _, rejected = stream._vector_draws(*states, 2**30 + 3, 4)
+    assert rejected.any() and not rejected.all()
+    _, rejected = stream._vector_draws(*states, 101, 4)
+    assert not rejected.any()
+
+
+@pytest.mark.parametrize("p", [3, 101, 65521, 2**30 + 3, 1431655777, 2**31 - 1])
+def test_lemire_keeps_a_draw_on_the_threshold_and_rejects_one_below(p):
+    """States solved for so that the first output's halves land on the boundary.
+
+    Lemire keeps d when d p mod 2^32 >= (2^32 - p) mod p.  Random seeds
+    reach equality with probability 2^-32 a draw, so instead the state
+    before output 1 is chosen: that output is below 2^64, so XSL-RR
+    rotates by 0 and returns it as is, low half first.
+    """
+    a, m128, inc = stream.PCG_MULT, (1 << 128) - 1, 2 * 0x5DEECE66D + 1
+    threshold = ((1 << 32) - p) % p
+    on, below = ((threshold - k) * pow(p, -1, 1 << 32) % (1 << 32) for k in (0, 1))
+    high = (1 << 32) - 1  # (2^32 - 1) p mod 2^32 = 2^32 - p, far above the threshold
+    states = [((high << 32 | on) - inc) * pow(a, -1, 1 << 128) & m128,
+              ((below << 32 | on) - inc) * pow(a, -1, 1 << 128) & m128]
+    expected = []
+    for state in states:
+        bits = np.random.PCG64()
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        expected.append(np.random.Generator(bits).integers(0, p, size=6).tolist())
+        assert expected[-1][0] == on * p >> 32
+        assert stream._column(state, inc, p, 6) == expected[-1]
+    # The array path starts from initstate: state = a initstate + (1 + a) inc.
+    limbs = [np.array([[v >> 32 * i & 0xFFFFFFFF for v in values] for i in range(4)],
+                      dtype=np.uint64)
+             for values in ([(s - (1 + a) * inc) * pow(a, -1, 1 << 128) & m128 for s in states],
+                            [inc, inc])]
+    got, rejected = stream._vector_draws(*limbs, p, 2)
+    assert rejected.tolist() == [False, True]
+    assert got[:, 0].tolist() == expected[0][:2]
+
+
+@pytest.mark.parametrize("seed,error", [
+    (-1, ValueError), ((5, -1), ValueError), ([3, [-2]], ValueError),
+    (1.5, TypeError), ((5, 2.0), TypeError), (np.float64(3), TypeError), ("7", TypeError),
+], ids=repr)
+def test_bad_seeds_raise_as_numpy_does(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        stream.draws([seed], 101, 4)
+    with pytest.raises(error):
+        stream.draws([(1, t) for t in range(TRIAL_BLOCK)] + [seed], 101, 4)
+
+
+def test_a_full_block_stays_small():
+    """The transient arrays of one N = 64 block of TRIAL_BLOCK trials stay under 3 MB."""
+    seeds = [(7, t) for t in range(TRIAL_BLOCK)]
+    stream.draws(seeds, 2**31 - 1, 128)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        stream.draws(seeds, 2**31 - 1, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
