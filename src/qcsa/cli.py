@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import warnings
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -122,6 +123,7 @@ def _json_document(value):
     yield "\n"
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcsa",

@@ -11,17 +11,16 @@ Two instances then cost N qudits instead of 2N dits, which is where the
 factor-2 superdense gain shows up.
 
 Symbols are drawn from a seedable PCG64 stream and every report records
-the seed, so trials replay bit-exactly.  Both :func:`run_trials` and
-:func:`qcsa_roundtrip` run on one engine, prepared once per
-:class:`~qcsa.nsumbox.QcsaSystem`: trial t draws its 2N symbols
-delta(1), nu(1), delta(2), nu(2) into column t of a 2N x T stack as
-numpy's ``default_rng((seed, t)).integers(0, p, size=2N)``, replayed
-exactly by :mod:`qcsa.stream` for the whole block at once (so the draws do
-not depend on the installed numpy).  The T trials are then encoded,
-scaled, transmitted and compared together as N x T products (T at most
-``TRIAL_BLOCK`` per batch; a single round trip is a batch of one), so
-``qcsa_roundtrip(params, (seed, t))`` replays any trial of a batch on its
-own.  :func:`server_scale` and
+the seed, so trials replay bit-exactly.  Trial t of :func:`run_trials`
+draws its 2N symbols delta(1), nu(1), delta(2), nu(2) into column t of a
+2N x T stack as numpy's ``default_rng((seed, t)).integers(0, p, size=2N)``,
+replayed exactly by :func:`qcsa.stream.draws` for up to ``TRIAL_BLOCK``
+trials at once (so the draws do not depend on the installed numpy);
+:func:`qcsa_roundtrip` draws its one seed with :func:`qcsa.stream.column`.
+One engine, prepared once per :class:`~qcsa.nsumbox.QcsaSystem`, then
+encodes, scales, transmits and compares the stack's trials together as
+N x T products, so ``qcsa_roundtrip(params, (seed, t))`` replays any trial
+of a batch on its own.  :func:`server_scale` and
 :meth:`SchemeInstance.from_symbols` remain the per-server operations, for
 hand-built inputs; no trial runs through them.
 """
@@ -106,17 +105,16 @@ def server_scale(field: PrimeField, a1, a2, u, v) -> np.ndarray:
 class _TrialEngine:
     """One system's trial pipeline, with everything but the draws prepared once.
 
-    Holds the draw of 2N symbols mod p, the CSA matrix C, the stacked
-    multipliers [u; v] (checked nonzero here), M_Q, the selector gather
-    and the per-trial costs.  The products go to ``_mod_matmul`` directly,
-    whose exactness bounds hold only for canonical residues, so every
-    operand is reduced mod p first.
+    Holds the draws of 2N symbols mod p (one seed's column, or a block's
+    2N x T stack), the CSA matrix C, the stacked multipliers [u; v] (checked
+    nonzero here), M_Q, the selector gather and the per-trial costs.  The
+    products go to ``_mod_matmul`` directly, whose exactness bounds hold
+    only for canonical residues, so every operand is reduced mod p first.
     """
 
     def __init__(self, system: QcsaSystem):
-        # Imported with the first engine, not with ``import qcsa``: construct
-        # and verify never draw, so they need not compile the module.
-        from .stream import draws
+        # Imported here, not with ``import qcsa``: construct and verify never draw.
+        from .stream import column, draws
 
         params = system.params
         field, n, l = params.field, params.N, params.L
@@ -125,7 +123,8 @@ class _TrialEngine:
         if not uv.all():
             raise ParameterError("scaling multipliers must be nonzero")
         self.p, self.n = field.p, n
-        self.draw = partial(draws, p=field.p, count=2 * n)
+        self.column = partial(column, p=field.p, count=2 * n)
+        self.draws = partial(draws, p=field.p, count=2 * n)
         self.csa = csa_matrix(field, params.alpha, params.f).array
         self.uv = uv[:, None]
         self.m_q = system.box.M.array
@@ -137,25 +136,21 @@ class _TrialEngine:
             "qudits_per_desired_symbol": str(Fraction(n, 2 * l)),
         }
 
-    def run(self, seeds) -> tuple:
-        """Trial j of the batch draws from the PCG64 stream of ``seeds[j]``.
+    def run(self, symbols) -> tuple:
+        """Run the drawn 2N x T stack S of symbols, one trial per column.
 
-        Returns four arrays with one column per trial:
+        Returns three arrays with one column per trial:
 
-        1. draw: the 2N x T stack S, column j being numpy's
-           ``default_rng(seeds[j]).integers(0, p, size=2N)``, replayed
-           exactly by :func:`qcsa.stream.draws`;
-        2. encode: the answers A = [C S[:N]; C S[N:]];
-        3. scale and transmit: Y = M_Q (Diag(u, v) A mod p);
-        4. predict: M_Q Block-Diag(Qu, Qv) is the selector, so the expected
+        1. encode: the answers A = [C S[:N]; C S[N:]];
+        2. scale and transmit: Y = M_Q (Diag(u, v) A mod p);
+        3. predict: M_Q Block-Diag(Qu, Qv) is the selector, so the expected
            output is the row gather S[selector_row_indices(N, L) - 1].
         """
         n, p = self.n, self.p
-        symbols = self.draw(seeds)
         answers = np.concatenate([_mod_matmul(self.csa, symbols[:n], p),
                                   _mod_matmul(self.csa, symbols[n:], p)])
         y = _mod_matmul(self.m_q, self.uv * answers % p, p)
-        return symbols, answers, y, symbols[self.select]
+        return answers, y, symbols[self.select]
 
 
 def _system_for(params: QcsaParams, system: QcsaSystem | None) -> QcsaSystem:
@@ -218,7 +213,8 @@ def qcsa_roundtrip(params: QcsaParams, seed, system: QcsaSystem | None = None) -
     system = _system_for(params, system)
     engine = system._trial_engine
     n, l = params.N, params.L
-    symbols, answers, y, expected = (tuple(a[:, 0].tolist()) for a in engine.run([seed]))
+    drawn = np.array(engine.column(seed), dtype=np.int64)[:, None]
+    symbols, answers, y, expected = (tuple(a[:, 0].tolist()) for a in (drawn, *engine.run(drawn)))
     instances = (SchemeInstance(1, symbols[:l], symbols[l:n], answers[:n]),
                  SchemeInstance(2, symbols[n:n + l], symbols[n + l:], answers[n:]))
     report = {
@@ -251,7 +247,7 @@ def run_trials(params: QcsaParams, seed: int, trials: int,
     rows = []
     for first in range(0, trials, TRIAL_BLOCK):
         block = range(first, min(first + TRIAL_BLOCK, trials))
-        _, _, y, expected = engine.run([(seed, t) for t in block])
+        _, y, expected = engine.run(engine.draws(seed, block))
         ok = (y == expected).all(axis=0).tolist()
         rows += [
             {"seed": [int(seed), t], "params": params_doc, "y": y_t, "expected": e_t,

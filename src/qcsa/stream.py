@@ -1,13 +1,14 @@
 """numpy's ``default_rng(seed).integers(0, p, size=count)``, replayed exactly.
 
-Each trial's symbols come from the PCG64 stream of its seed.  Building one
-numpy Generator per trial costs tens of microseconds, more than the trial's
-own algebra at small N, and NEP 19 lets numpy change what
-``Generator.integers`` draws between versions.  This module computes the
-same draws itself, for a whole block of seeds at once:
+Building one numpy Generator per trial costs tens of microseconds, more
+than a trial's own algebra at small N, and NEP 19 lets numpy change what
+``Generator.integers`` draws between versions.  So this module computes
+the draws itself, in the two shapes its callers ask for: :func:`column`
+draws one seed's stream in Python ints, and :func:`draws` the streams
+(seed, t) of a block of t at once, as array arithmetic.  The steps:
 
 1. entropy words: an int is its little-endian 32-bit words (0 gives one
-   word), a list, tuple, range or array the concatenation of its items';
+   word), a flat tuple or list of ints the concatenation of its items';
 2. ``SeedSequence``: the pool of 4 words is hashed and mixed, then
    ``generate_state(4, uint64)`` gives initstate and initseq;
 3. PCG64 seeding (O'Neill, "PCG: a family of simple fast space-efficient
@@ -20,15 +21,13 @@ same draws itself, for a whole block of seeds at once:
    Lemire's method (ACM TOMACS 29, 2019): m = d p, keep m >> 32 unless
    m mod 2^32 < (2^32 - p) mod p.
 
-A column with a rejected draw is replayed by :func:`_column`, in Python
-ints, since its later draws shift; so is every column of a block narrower
-than ``VECTOR_MIN``.  That constant is where the two paths cost about the
-same.  Measured with timeit on 2 vCPUs (Python 3.11, numpy 2.4.6, seeds
-``(7, t)``, p = 2^31 - 1): at N = 12 the array path took 200-480 us for
-any T <= 16 and :func:`_column` 30-50 us a column, so they cross near
-T = 9; near T = 14 at N = 4 and T = 3 at N = 64.
+A block hashes as one array, so its t must not cross 2^32, where t gains
+a word; ``run_trials``' blocks start at multiples of ``TRIAL_BLOCK``,
+which divides 2^32.  A column with a rejected draw is replayed by
+:func:`column`, since its later draws shift.
 """
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -40,38 +39,39 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 POOL_SIZE = 4
 PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-VECTOR_MIN = 8
 
 
 def entropy_words(seed) -> list:
-    """The uint32 words that ``SeedSequence(seed)`` hashes, as numpy coerces them."""
+    """The uint32 words that ``SeedSequence(seed)`` hashes, as numpy coerces them.
+
+    A seed is a non-negative int or a flat tuple or list of them, numpy
+    integers included; a negative int raises ValueError, anything else TypeError.
+    """
     if isinstance(seed, (int, np.integer)):
         n = int(seed)
         if n < 0:
             raise ValueError("expected non-negative integer")
-        words = [n & M32]
-        while n > M32:
-            n >>= 32
-            words.append(n & M32)
-        return words
-    if not isinstance(seed, (list, tuple, range, np.ndarray)):
-        raise TypeError(f"a seed must be an int or a sequence of ints, not {type(seed).__name__}")
-    words = []
-    for item in seed:
-        if type(item) is int and 0 <= item <= M32:  # one word, without recursing
-            words.append(item)
+        return [n >> shift & M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+    if isinstance(seed, (tuple, list)):
+        words = []
+        for item in seed:
+            if type(item) is int and 0 <= item <= M32:  # one word, without recursing
+                words.append(item)
+            elif isinstance(item, (int, np.integer)):
+                words += entropy_words(item)
+            else:
+                break
         else:
-            words += entropy_words(item)
-    return words
+            return words
+    raise TypeError(f"a seed must be an int or a flat tuple or list of ints, not {seed!r}")
 
 
 def _hash_chain(init: int, mult: int, calls: int) -> list:
     """The (xor, multiplier) pair of each of ``calls`` successive hashmix calls."""
     pairs = []
     for _ in range(calls):
-        nxt = init * mult & M32
-        pairs.append((init, nxt))
-        init = nxt
+        pairs.append((init, init * mult & M32))
+        init = pairs[-1][1]
     return pairs
 
 
@@ -142,6 +142,11 @@ def _column(state: int, inc: int, p: int, count: int) -> list:
         # a rejected draw is skipped: the next 32 bits take its place
         out += [m >> 32 for m in scaled if m & M32 >= threshold]
     return out[:count]
+
+
+def column(seed, p: int, count: int) -> list:
+    """``default_rng(seed).integers(0, p, size=count)`` as a list of ints, 2 <= p < 2^32."""
+    return _column(*pcg64_state(seed), p, count)
 
 
 @lru_cache(maxsize=64)
@@ -221,26 +226,22 @@ def _vector_draws(init, inc, p: int, count: int):
     return (scaled >> shift).astype(np.int64), rejected
 
 
-def draws(seeds, p: int, count: int) -> np.ndarray:
-    """Column j is ``default_rng(seeds[j]).integers(0, p, size=count)``, count x T int64.
+def draws(seed: int, trials: range, p: int, count: int) -> np.ndarray:
+    """Column j is ``default_rng((seed, trials[j])).integers(0, p, size=count)``, count x T int64.
 
-    A seed is an int or a list, tuple, range or array of them, nested as
-    numpy allows; a negative int raises ValueError and any other item
-    TypeError.  p must satisfy 2 <= p < 2^32.
+    seed is a non-negative int, trials a non-empty range of t < 2^64 that
+    does not cross 2^32 (ValueError), and 2 <= p < 2^32.
     """
-    out = np.empty((count, len(seeds)), dtype=np.int64)
-    if len(seeds) < VECTOR_MIN:
-        for j, seed in enumerate(seeds):
-            out[:, j] = _column(*pcg64_state(seed), p, count)
-        return out
-    groups = {}
-    for j, seed in enumerate(seeds):
-        words = entropy_words(seed)
-        groups.setdefault(max(len(words), POOL_SIZE), []).append((j, words))
-    for n_words, members in groups.items():
-        cols = [j for j, _ in members]
-        words = np.array([w + [0] * (n_words - len(w)) for _, w in members], dtype=np.uint32)
-        out[:, cols], rejected = _vector_draws(*_block_states(words.T), p, count)
-        for j in np.asarray(cols)[rejected].tolist():
-            out[:, j] = _column(*pcg64_state(seeds[j]), p, count)
+    base = entropy_words(operator.index(seed))  # (seed, t) is never nested
+    t_words = len(entropy_words(trials[-1]))
+    if len(entropy_words(trials[0])) != t_words:
+        raise ValueError(f"{trials} crosses 2^32, where t gains an entropy word")
+    t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    words = np.zeros((max(len(base) + t_words, POOL_SIZE), len(t)), dtype=np.uint32)
+    words[:len(base)] = np.array(base, dtype=np.uint32)[:, None]
+    for i in range(t_words):
+        words[len(base) + i] = t >> np.uint64(32 * i)  # the cast keeps the low word
+    out, rejected = _vector_draws(*_block_states(words), p, count)
+    for j in np.flatnonzero(rejected).tolist():
+        out[:, j] = column((seed, trials[j]), p, count)
     return out

@@ -1,8 +1,9 @@
 """``qcsa.stream`` against numpy's own SeedSequence, PCG64 and Generator.integers.
 
 numpy is the referee here and nowhere in ``src/qcsa``: each stage of the
-replay, and every whole column, must equal what numpy computes for the
-same seed, on both the array path and the Python-int path.
+replay, and every whole column of both entry points, must equal what numpy
+computes for the same seed.  ``column`` draws one seed in Python ints;
+``draws`` draws the streams (seed, t) of a block of t as arrays.
 """
 
 import tracemalloc
@@ -10,23 +11,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcsa import stream
+from qcsa import PrimeField, QcsaParams, qcsa_roundtrip, stream
 from qcsa.scheme import TRIAL_BLOCK
 
 from test_scheme import DIFFERENTIAL_GRID
 
 EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5]
+# Every form a report records: an int, or a flat tuple or list of ints.
 SEEDS = EDGE_SEEDS + [(s, t) for s in EDGE_SEEDS for t in (0, 1, 2**32 - 1, 2**32)] + [
     (1004, 12, 6, 101, 999),  # criterion 4's seeds have five words
     (1004, 2, 1, 3, 0),
     (np.int64(7), np.uint32(3)),
     np.uint64(2**64 - 1),
     [],
-    [[1, 2], (3,)],
-    range(6),
-    np.arange(5, dtype=np.uint32),
     True,
 ]
+# numpy reads nested lists, ranges and arrays too; qcsa takes only flat forms.
+NON_FLAT_SEEDS = [[[1, 2], (3,)], [3, [-2]], range(6), np.arange(5, dtype=np.uint32)]
 # 2^30 + 3 rejects about a quarter of all 32-bit draws, 1431655777 about a third.
 MODULI = sorted({q for _, _, q in DIFFERENTIAL_GRID} | {2, 2**30 + 3, 1431655777})
 # One block per entropy length: 2 words (padded to 4), 3, 5 and 8.
@@ -53,6 +54,13 @@ def block_words(seeds) -> np.ndarray:
     return np.array([w + [0] * (n_words - len(w)) for w in words], dtype=np.uint32).T
 
 
+def assert_block_matches(seed, trials, p: int, count: int):
+    got = stream.draws(seed, trials, p, count)
+    assert got.dtype == np.int64 and got.shape == (count, len(trials))
+    for j, t in enumerate(trials):
+        assert got[:, j].tolist() == referee((seed, t), p, count), (seed, t)
+
+
 @pytest.mark.parametrize("seed", SEEDS, ids=repr)
 def test_seed_words_and_pcg64_state_match_numpy(seed):
     w = stream.seed_words(seed)
@@ -73,37 +81,36 @@ def test_block_seeding_matches_numpy(seeds):
 
 @pytest.mark.parametrize("p", MODULI)
 def test_columns_match_numpy(p):
-    seeds = SEEDS + BLOCKS["two-words"]
     for count in (1, 2, 3, 24, 128):
-        got = stream.draws(seeds, p, count)
-        assert got.dtype == np.int64 and got.shape == (count, len(seeds))
-        for j, seed in enumerate(seeds):
-            assert got[:, j].tolist() == referee(seed, p, count), (seed, count)
+        for seed in SEEDS:
+            assert stream.column(seed, p, count) == referee(seed, p, count), (seed, count)
+
+
+@pytest.mark.parametrize("p", [101, 2**30 + 3, 1431655777, 2**31 - 1])
+@pytest.mark.parametrize("first", [0, TRIAL_BLOCK, 2**32])
+@pytest.mark.parametrize("seed", [5, 2**40 + 3, 2**64 + 5], ids=["1-word", "2-word", "3-word"])
+def test_blocks_match_numpy(seed, first, p):
+    assert_block_matches(seed, range(first, first + 40), p, 24)
 
 
 @pytest.mark.parametrize("p", [101, 2**30 + 3, 2**31 - 1])
 def test_a_block_across_t_2_32_mixes_entropy_lengths(p):
-    seeds = [(5, t) for t in range(2**32 - 8, 2**32 + 8)]
-    assert sorted({len(stream.entropy_words(s)) for s in seeds}) == [2, 3]
-    got = stream.draws(seeds, p, 24)
-    assert [got[:, j].tolist() for j in range(len(seeds))] == [referee(s, p, 24) for s in seeds]
+    """draws refuses such a block; run_trials' blocks never make one."""
+    assert 2**32 % TRIAL_BLOCK == 0
+    assert [len(stream.entropy_words(t)) for t in (2**32 - 1, 2**32)] == [1, 2]
+    with pytest.raises(ValueError, match="crosses 2"):
+        stream.draws(5, range(2**32 - 8, 2**32 + 8), p, 24)
+    assert_block_matches(5, range(2**32 - 8, 2**32), p, 24)
+    assert_block_matches(5, range(2**32, 2**32 + 8), p, 24)
 
 
 @pytest.mark.parametrize("p", [101, 2**30 + 3, 1431655777, 2**31 - 1])
-@pytest.mark.parametrize("width", [1, stream.VECTOR_MIN - 1, stream.VECTOR_MIN, TRIAL_BLOCK])
-def test_array_and_scalar_paths_agree(width, p, monkeypatch):
-    seeds = [(11, t) for t in range(width)]
-    got, rejected = stream._vector_draws(*stream._block_states(block_words(seeds)), p, 24)
-    for j in np.flatnonzero(~rejected).tolist():
-        assert got[:, j].tolist() == stream._column(*stream.pcg64_state(seeds[j]), p, 24)
-    monkeypatch.setattr(stream, "VECTOR_MIN", 1)
-    array_path = stream.draws(seeds, p, 24)
-    monkeypatch.setattr(stream, "VECTOR_MIN", width + 1)
-    assert np.array_equal(stream.draws(seeds, p, 24), array_path)
-    monkeypatch.undo()
-    assert np.array_equal(stream.draws(seeds, p, 24), array_path)
-    if width == TRIAL_BLOCK:
-        assert referee(seeds[-1], p, 24) == array_path[:, -1].tolist()
+@pytest.mark.parametrize("width", [1, 7, 8, TRIAL_BLOCK])  # a run's last block may be tiny
+def test_array_and_scalar_paths_agree(width, p):
+    trials = range(width)
+    got = stream.draws(11, trials, p, 24)
+    assert [got[:, t].tolist() for t in trials] == [stream.column((11, t), p, 24) for t in trials]
+    assert referee((11, width - 1), p, 24) == got[:, -1].tolist()
 
 
 def test_rejected_columns_leave_the_array_path():
@@ -149,25 +156,40 @@ def test_lemire_keeps_a_draw_on_the_threshold_and_rejects_one_below(p):
 
 
 @pytest.mark.parametrize("seed,error", [
-    (-1, ValueError), ((5, -1), ValueError), ([3, [-2]], ValueError),
+    (-1, ValueError), ((5, -1), ValueError),
     (1.5, TypeError), ((5, 2.0), TypeError), (np.float64(3), TypeError), ("7", TypeError),
 ], ids=repr)
 def test_bad_seeds_raise_as_numpy_does(seed, error):
     with pytest.raises(error):
         np.random.default_rng(seed)
     with pytest.raises(error):
-        stream.draws([seed], 101, 4)
-    with pytest.raises(error):
-        stream.draws([(1, t) for t in range(TRIAL_BLOCK)] + [seed], 101, 4)
+        stream.column(seed, 101, 4)
+
+
+@pytest.mark.parametrize("seed", [-1, (5, 1), 1.5, "7"], ids=repr)
+def test_draws_takes_one_non_negative_int_base(seed):
+    with pytest.raises(ValueError if seed == -1 else TypeError):
+        stream.draws(seed, range(TRIAL_BLOCK), 101, 4)
+
+
+@pytest.mark.parametrize("seed", NON_FLAT_SEEDS, ids=repr)
+def test_non_flat_seeds_raise_type_error_before_drawing(seed, monkeypatch):
+    calls = []
+    monkeypatch.setattr(stream, "_column", lambda *args: calls.append(args))
+    match = "an int or a flat tuple or list of ints"
+    with pytest.raises(TypeError, match=match):
+        stream.column(seed, 101, 4)
+    with pytest.raises(TypeError, match=match):
+        qcsa_roundtrip(QcsaParams.default(PrimeField(13), 4, 2), seed)
+    assert calls == []
 
 
 def test_a_full_block_stays_small():
     """The transient arrays of one N = 64 block of TRIAL_BLOCK trials stay under 3 MB."""
-    seeds = [(7, t) for t in range(TRIAL_BLOCK)]
-    stream.draws(seeds, 2**31 - 1, 128)  # builds the cached tables
+    stream.draws(7, range(TRIAL_BLOCK), 2**31 - 1, 128)  # builds the cached tables
     tracemalloc.start()
     try:
-        stream.draws(seeds, 2**31 - 1, 128)
+        stream.draws(7, range(TRIAL_BLOCK), 2**31 - 1, 128)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from qcsa import codes, field, matrix
-from qcsa.cli import main  # loads every qcsa module
+from qcsa import cli, codes, field, matrix, stream  # stream is otherwise loaded lazily
+from qcsa.cli import main  # loads every other qcsa module
 
 QCSA_MODULES = [module for name, module in sys.modules.items()
                 if name == "qcsa" or name.startswith("qcsa.")]
@@ -88,6 +88,23 @@ def test_simulate_encodes_the_params_once(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert len(to_dict) == 1
     assert capsys.readouterr().err.startswith("100/100 trials passed")
+
+
+def test_simulate_draws_a_block_without_per_trial_seed_work(tmp_path, monkeypatch, capsys):
+    """The block's entropy words are built as arrays: no per-trial entropy_words call."""
+    _clear_caches()
+    words = _count(monkeypatch, stream, "entropy_words")
+    argv = ["simulate", *POINT, "--trials", "100", "--out", str(tmp_path / "t.jsonl")]
+    assert main(argv) == 0
+    assert len(words) <= 3
+    assert capsys.readouterr().err.startswith("100/100 trials passed")
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    assert main(["rates", "--N", "4"]) == 0
+    assert main(["rates", "--N", "5"]) == 0
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_no_command_eliminates(bundle, tmp_path, monkeypatch, capsys):
