@@ -60,6 +60,7 @@ from .scheme import (
     reduced_params,
     run_trials,
     server_scale,
+    trial_blocks,
 )
 
 __version__ = "0.1.0"
@@ -109,4 +110,5 @@ __all__ = [
     "reduced_params",
     "run_trials",
     "server_scale",
+    "trial_blocks",
 ]

@@ -25,14 +25,13 @@ import os
 import sys
 import warnings
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .codes import ParameterError, QcsaParams, check_room, qcsa_matrix
 from .field import PrimeField
 from .nsumbox import QcsaSystem, build_qcsa_system, verify_system
-from .scheme import TRIAL_BLOCK, rate_report, reduced_params, run_trials
+from .scheme import rate_report, reduced_params, trial_blocks, trial_costs, trial_summary
 
 DEFAULT_SEED = 1729
 OUTPUT_DIR_ENV = "QCSA_OUTPUT_DIR"
@@ -40,6 +39,10 @@ OUTPUT_DIR_ENV = "QCSA_OUTPUT_DIR"
 
 class BundleFormatError(Exception):
     """Input file is missing, unreadable, or structurally invalid."""
+
+
+class OutputError(Exception):
+    """The output file cannot be written."""
 
 
 def _int_list(text: str) -> tuple:
@@ -77,12 +80,19 @@ def _resolve_out(path: str | None) -> str | None:
 
 
 def _write_text(path: str | None, chunks) -> None:
-    """Write the strings of ``chunks`` in order, to ``path`` or to stdout."""
+    """Write the strings of ``chunks`` in order, to ``path`` or to stdout.
+
+    ``chunks`` may be a generator that computes them: the file is opened
+    before the first is drawn.
+    """
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _json_chunks(value, pad: str = ""):
@@ -315,54 +325,80 @@ def cmd_simulate(args) -> int:
         raise ParameterError("--trials must be nonnegative")
     if args.seed < 0:
         raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
-    summary = run_trials(params, args.seed, args.trials)
-    rows = summary.pop("reports")
-    failure = _first_failure(rows)
+    # Every ParameterError is raised here, before --out is opened.
+    blocks = trial_blocks(params, args.seed, args.trials)
+    summary = trial_summary(params, args.seed, args.trials, 0, params.to_dict())
     summary["reduced"] = (params.N, params.L) != (args.N, args.L)
     summary["requested"] = {"N": args.N, "L": args.L}
-    _write_text(_resolve_out(args.out),
-                chain(_jsonl_rows(rows), [json.dumps(summary, sort_keys=True) + "\n"]))
+    failures = []
+    _write_text(_resolve_out(args.out), _jsonl(summary, trial_costs(params), blocks, failures))
     print(
         f"{summary['passed']}/{summary['trials']} trials passed at "
         f"N={params.N} L={params.L} q={field.p} "
         f"({params.N} qudits per trial for {2 * params.L} desired symbols)",
         file=sys.stderr,
     )
-    if failure is not None:
-        print(failure, file=sys.stderr)
+    if failures:
+        print(failures[0], file=sys.stderr)
     return 0 if summary["passed"] == summary["trials"] else 1
 
 
-def _jsonl_rows(rows):
-    """``json.dumps(row, sort_keys=True) + "\\n"`` for each trial row, a block at a time.
+def _jsonl(summary: dict, costs: dict, blocks, failures: list):
+    """A run's JSONL: each block's trial rows as the block arrives, then ``summary``.
 
-    Every row of a run holds the same ``params`` and ``costs``, so each is
-    encoded once.  The rest of a row is two int lists, ``seed`` and a bool,
-    and ``str`` of an int list is already its JSON.
+    A row is ``json.dumps(report, sort_keys=True) + "\\n"`` of the trial's
+    ``run_trials`` report, written from the block's arrays: ``params`` and
+    ``costs`` are encoded once, and ``y`` and ``expected`` by ``_int_rows``.
+    Adds each block's passes to ``summary["passed"]``, and appends to
+    ``failures`` where the first failing trial departs from its prediction.
     """
-    if not rows:
-        return
-    params = json.dumps(rows[0]["params"], sort_keys=True)
-    costs = json.dumps(rows[0]["costs"], sort_keys=True)
-    for first in range(0, len(rows), TRIAL_BLOCK):
+    seed = summary["seed"]
+    head = f'{{"costs": {json.dumps(costs, sort_keys=True)}, "expected": ['
+    middle = f'], "params": {json.dumps(summary["params"], sort_keys=True)}, "pass": '
+    for block, y, expected, ok in blocks:
         yield "".join(
-            f'{{"costs": {costs}, "expected": {row["expected"]}, "params": {params}, '
-            f'"pass": {"true" if row["pass"] else "false"}, "seed": {row["seed"]}, '
-            f'"y": {row["y"]}}}\n'
-            for row in rows[first:first + TRIAL_BLOCK]
+            f'{head}{e_t}{middle}{"true" if ok_t else "false"}, "seed": [{seed}, {t}], '
+            f'"y": [{y_t}]}}\n'
+            for t, y_t, e_t, ok_t in zip(block, _int_rows(y.T), _int_rows(expected.T), ok.tolist())
         )
+        passed = int(np.count_nonzero(ok))
+        if passed < len(block) and not failures:
+            failures.append(_first_failure(seed, block, y, expected, ok))
+        summary["passed"] += passed
+    yield json.dumps(summary, sort_keys=True) + "\n"
 
 
-def _first_failure(reports) -> str | None:
-    """Where the first failing trial's y departs from its prediction, if any."""
-    row = next((row for row in reports if not row["pass"]), None)
-    if row is None:
-        return None
-    y, expected = row["y"], row["expected"]
-    i = next(i for i in range(len(y)) if y[i] != expected[i])
-    seed, t = row["seed"]
-    return (f"first failing trial: (seed, t) = ({seed}, {t}); "
-            f"y[{i}] = {y[i]}, expected {expected[i]}")
+def _int_rows(a: np.ndarray) -> list:
+    """``", ".join(map(str, row))`` for each row of ``a``, whose entries are in [0, 2^32).
+
+    Every entry gets a field of the widest entry's digits and ", "; the
+    digits come from array arithmetic, and a mask drops leading zeros and
+    each row's last separator, so no Python int or str is made per entry.
+    """
+    rows, n = a.shape
+    width = len(str(int(a.max())))
+    text = np.empty((rows, n, width + 2), dtype=np.uint8)
+    keep = np.ones((rows, n, width + 2), dtype=bool)
+    text[:, :, width:] = (ord(","), ord(" "))
+    keep[:, -1, width:] = False
+    rest = a.astype(np.uint32)
+    for k in range(width - 1, 0, -1):
+        text[:, :, k] = rest % 10
+        rest //= 10
+        keep[:, :, k - 1] = rest > 0
+    text[:, :, 0] = rest
+    text[:, :, :width] += ord("0")
+    flat = text[keep].tobytes().decode("ascii")
+    ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def _first_failure(seed: int, block: range, y, expected, ok) -> str:
+    """Where the block's first failing trial's y departs from its prediction."""
+    j = int(np.argmin(ok))
+    i = int(np.argmax(y[:, j] != expected[:, j]))
+    return (f"first failing trial: (seed, t) = ({seed}, {block[j]}); "
+            f"y[{i}] = {y[i, j]}, expected {expected[i, j]}")
 
 
 def cmd_rates(args) -> int:
@@ -410,6 +446,9 @@ def main(argv=None) -> int:
     except BundleFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # pragma: no cover - defensive catch-all
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -11,11 +11,15 @@ Two instances then cost N qudits instead of 2N dits, which is where the
 factor-2 superdense gain shows up.
 
 Symbols are drawn from a seedable PCG64 stream and every report records
-the seed, so trials replay bit-exactly.  Trial t of :func:`run_trials`
-draws its 2N symbols delta(1), nu(1), delta(2), nu(2) into column t of a
-2N x T stack as numpy's ``default_rng((seed, t)).integers(0, p, size=2N)``,
-replayed exactly by :func:`qcsa.stream.draws` for up to ``TRIAL_BLOCK``
-trials at once (so the draws do not depend on the installed numpy);
+the seed, so trials replay bit-exactly.  :func:`trial_blocks` is the one
+trial loop: it yields each block of up to ``TRIAL_BLOCK`` trials as arrays,
+so a caller that writes them out as they come (``qcsa simulate`` does)
+holds one block at a time, whatever the trial count; :func:`run_trials`
+collects them into report rows.  Trial t draws its 2N symbols delta(1),
+nu(1), delta(2), nu(2) into column t of a 2N x T stack as numpy's
+``default_rng((seed, t)).integers(0, p, size=2N)``, replayed exactly by
+:func:`qcsa.stream.draws` for a block at once (so the draws do not depend
+on the installed numpy);
 :func:`qcsa_roundtrip` draws its one seed with :func:`qcsa.stream.column`.
 One engine, prepared once per :class:`~qcsa.nsumbox.QcsaSystem`, then
 encodes, scales, transmits and compares the stack's trials together as
@@ -37,10 +41,9 @@ from .matrix import FieldMatrix, _mod_matmul, as_residue_vector
 from .nsumbox import QcsaSystem, build_qcsa_system, selector_row_indices
 
 RNG_NAME = "pcg64"
-# run_trials works on at most this many trials at a time, so that its
-# arrays (about 14N int64 entries per trial) stay small next to the report
-# rows it returns: at T = 20000, N = 64 a single batch raised the
-# tracemalloc peak of run_trials from 145 MB (the rows alone) to 222 MB.
+# trial_blocks runs at most this many trials at a time, so a streamed run
+# holds one block's arrays (about 14N int64 entries per trial, 1.8 MB at
+# N = 64) whatever its trial count.  It divides 2^32, as stream.draws needs.
 TRIAL_BLOCK = 256
 
 
@@ -129,26 +132,22 @@ class _TrialEngine:
         self.uv = uv[:, None]
         self.m_q = system.box.M.array
         self.select = np.asarray(selector_row_indices(n, l)) - 1
-        self.costs = {
-            "downloaded_qudits": n,
-            "desired_symbols": 2 * l,
-            "classical_download_dits": 2 * n,
-            "qudits_per_desired_symbol": str(Fraction(n, 2 * l)),
-        }
+        self.costs = trial_costs(params)
 
     def run(self, symbols) -> tuple:
         """Run the drawn 2N x T stack S of symbols, one trial per column.
 
         Returns three arrays with one column per trial:
 
-        1. encode: the answers A = [C S[:N]; C S[N:]];
+        1. encode: the answers A = [C S[:N]; C S[N:]], both instances as the
+           one product C [S[:N] S[N:]];
         2. scale and transmit: Y = M_Q (Diag(u, v) A mod p);
         3. predict: M_Q Block-Diag(Qu, Qv) is the selector, so the expected
            output is the row gather S[selector_row_indices(N, L) - 1].
         """
-        n, p = self.n, self.p
-        answers = np.concatenate([_mod_matmul(self.csa, symbols[:n], p),
-                                  _mod_matmul(self.csa, symbols[n:], p)])
+        n, p, t = self.n, self.p, symbols.shape[1]
+        encoded = _mod_matmul(self.csa, np.concatenate([symbols[:n], symbols[n:]], axis=1), p)
+        answers = np.concatenate([encoded[:, :t], encoded[:, t:]])
         y = _mod_matmul(self.m_q, self.uv * answers % p, p)
         return answers, y, symbols[self.select]
 
@@ -228,6 +227,59 @@ def qcsa_roundtrip(params: QcsaParams, seed, system: QcsaSystem | None = None) -
     return RoundTrip(instances, y, expected, y == expected, report)
 
 
+def trial_costs(params: QcsaParams) -> dict:
+    """What one trial downloads: N qudits for 2L desired symbols, against 2N dits."""
+    n, l = params.N, params.L
+    return {
+        "downloaded_qudits": n,
+        "desired_symbols": 2 * l,
+        "classical_download_dits": 2 * n,
+        "qudits_per_desired_symbol": str(Fraction(n, 2 * l)),
+    }
+
+
+def trial_blocks(params: QcsaParams, seed: int, trials: int, system: QcsaSystem | None = None):
+    """Run seeded trials a block at a time; trial t uses the derived stream (seed, t).
+
+    The trial count and the system are checked, and the system built, when
+    this is called; the trials run as the result is iterated.  It yields
+    ``(block, y, expected, ok)`` for each block of up to TRIAL_BLOCK trials
+    in order: the range of the block's t, the box outputs and the predicted
+    outputs as N x T arrays with column j for trial ``block[j]``, and the
+    bool mask of the trials whose output matched the prediction exactly.
+    Column j holds the y and expected of ``qcsa_roundtrip(params, (seed,
+    block[j]), system)``.
+    """
+    if trials < 0:
+        raise ParameterError(f"trial count must be nonnegative, got {trials}")
+    engine = _system_for(params, system)._trial_engine
+
+    def blocks():
+        for first in range(0, trials, TRIAL_BLOCK):
+            block = range(first, min(first + TRIAL_BLOCK, trials))
+            _, y, expected = engine.run(engine.draws(seed, block))
+            yield block, y, expected, (y == expected).all(axis=0)
+
+    return blocks()
+
+
+def trial_summary(params: QcsaParams, seed: int, trials: int, passed: int,
+                  params_doc: dict) -> dict:
+    """:func:`run_trials`' result without its reports; ``params_doc`` is ``params.to_dict()``."""
+    return {
+        "params": params_doc,
+        "seed": seed,
+        "rng": RNG_NAME,
+        "trials": trials,
+        "passed": passed,
+        "costs_per_trial": {
+            "downloaded_qudits": params.N,
+            "desired_symbols": 2 * params.L,
+            "classical_download_dits": 2 * params.N,
+        },
+    }
+
+
 def run_trials(params: QcsaParams, seed: int, trials: int,
                system: QcsaSystem | None = None) -> dict:
     """Run seeded trials; trial t uses the derived stream (seed, t).
@@ -235,38 +287,22 @@ def run_trials(params: QcsaParams, seed: int, trials: int,
     Returns a summary with per-trial reports; ``passed`` counts trials
     whose output matched the prediction exactly.  Report t equals
     ``qcsa_roundtrip(params, (seed, t), system).to_dict()``; the trials
-    run through the same engine, in blocks of up to TRIAL_BLOCK columns.
-    The summary and all reports share one ``params`` dict, and the reports
-    one ``costs`` dict: copy a report's dict before editing it.
+    run through :func:`trial_blocks`, which holds one block at a time, but
+    the reports hold every trial.  The summary and all reports share one
+    ``params`` dict, and the reports one ``costs`` dict: copy a report's
+    dict before editing it.
     """
-    if trials < 0:
-        raise ParameterError(f"trial count must be nonnegative, got {trials}")
-    system = _system_for(params, system)
-    engine = system._trial_engine
-    params_doc, costs = params.to_dict(), dict(engine.costs)
-    rows = []
-    for first in range(0, trials, TRIAL_BLOCK):
-        block = range(first, min(first + TRIAL_BLOCK, trials))
-        _, y, expected = engine.run(engine.draws(seed, block))
-        ok = (y == expected).all(axis=0).tolist()
-        rows += [
-            {"seed": [int(seed), t], "params": params_doc, "y": y_t, "expected": e_t,
-             "pass": ok_t, "costs": costs}
-            for t, y_t, e_t, ok_t in zip(block, y.T.tolist(), expected.T.tolist(), ok)
-        ]
-    return {
-        "params": params_doc,
-        "seed": seed,
-        "rng": RNG_NAME,
-        "trials": trials,
-        "passed": sum(row["pass"] for row in rows),
-        "costs_per_trial": {
-            "downloaded_qudits": params.N,
-            "desired_symbols": 2 * params.L,
-            "classical_download_dits": 2 * params.N,
-        },
-        "reports": rows,
-    }
+    blocks = trial_blocks(params, seed, trials, system)
+    params_doc, costs = params.to_dict(), trial_costs(params)
+    rows = [
+        {"seed": [int(seed), t], "params": params_doc, "y": y_t, "expected": e_t,
+         "pass": ok_t, "costs": costs}
+        for block, y, expected, ok in blocks
+        for t, y_t, e_t, ok_t in zip(block, y.T.tolist(), expected.T.tolist(), ok.tolist())
+    ]
+    summary = trial_summary(params, seed, trials, sum(row["pass"] for row in rows), params_doc)
+    summary["reports"] = rows
+    return summary
 
 
 def reduce_servers(n: int, l: int) -> tuple:

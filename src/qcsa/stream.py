@@ -22,7 +22,7 @@ draws one seed's stream in Python ints, and :func:`draws` the streams
    m mod 2^32 < (2^32 - p) mod p.
 
 A block hashes as one array, so its t must not cross 2^32, where t gains
-a word; ``run_trials``' blocks start at multiples of ``TRIAL_BLOCK``,
+a word; ``trial_blocks``' blocks start at multiples of ``TRIAL_BLOCK``,
 which divides 2^32.  A column with a rejected draw is replayed by
 :func:`column`, since its later draws shift.
 """

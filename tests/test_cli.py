@@ -5,15 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qcsa import cli
+from qcsa import cli, scheme
 from qcsa.cli import DEFAULT_SEED, OUTPUT_DIR_ENV, BundleFormatError, main
-from qcsa.codes import QcsaParams, qcsa_matrix
+from qcsa.codes import ParameterError, QcsaParams, qcsa_matrix
 from qcsa.field import PrimeField
 from qcsa.matrix import FieldMatrix
 from qcsa.nsumbox import QcsaSystem, build_qcsa_system
@@ -334,6 +335,92 @@ def test_failing_simulate_rows_match_json(tmp_path, monkeypatch):
     text = out.read_text()
     assert '"pass": false' in text and '"pass": true' in text
     assert_same_text(text, _referee_jsonl(params, argv, tampered))
+
+
+# simulate writes each block of TRIAL_BLOCK trials as it runs; at the block
+# edges its bytes must still be json's over run_trials' rows.
+EDGE_TRIALS = [0, 1, scheme.TRIAL_BLOCK - 1, scheme.TRIAL_BLOCK, scheme.TRIAL_BLOCK + 1,
+               scheme.TRIAL_BLOCK + 7]
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+@pytest.mark.parametrize("trials", EDGE_TRIALS)
+def test_streamed_rows_match_json_at_block_edges(tmp_path, capsys, trials, to_stdout):
+    argv = ("--p", "65521", "--N", "12", "--L", "5", "--seed", "4", "--trials", str(trials))
+    out = tmp_path / "trials.jsonl"
+    assert run_cli("simulate", *argv, *(() if to_stdout else ("--out", str(out)))) == 0
+    captured = capsys.readouterr()
+    text = captured.out if to_stdout else out.read_text()
+    assert_same_text(text, _referee_jsonl(reduced_params(PrimeField(65521), 12, 5), argv))
+    assert captured.out == (text if to_stdout else "")
+    assert captured.err == (f"{trials}/{trials} trials passed at N=12 L=5 q=65521 "
+                            "(12 qudits per trial for 10 desired symbols)\n")
+
+
+@pytest.mark.parametrize("cols", [1, 5])
+@pytest.mark.parametrize("top", [0, 1, 9, 10, 99, 100, 2**31 - 2, 2**32 - 1])
+def test_int_rows_match_str(top, cols):
+    """The JSONL writer's digit arithmetic, at each digit-count edge."""
+    a = np.random.default_rng(top).integers(0, top + 1, size=(9, cols))
+    a[:, -1] = np.minimum([top, 0, 1, 9, 10, 99, 100, 10**9, 2**32 - 1], top)
+    assert cli._int_rows(a) == [str(row)[1:-1] for row in a.tolist()]
+
+
+def test_failures_in_many_blocks_report_as_in_one(tmp_path, capsys, monkeypatch):
+    """In blocks of 4 trials the passes and failures fall in several blocks;
+    the rows, the pass count and the first failure stay those of one block."""
+    params, tampered = _tamper_with_m_q(monkeypatch)
+    argv = ("--p", "13", "--N", "6", "--L", "2", "--seed", "8", "--trials", "20")
+    runs = []
+    for block in (scheme.TRIAL_BLOCK, 4):
+        monkeypatch.setattr(scheme, "TRIAL_BLOCK", block)
+        out = tmp_path / f"trials-{block}.jsonl"
+        assert run_cli("simulate", *argv, "--out", str(out)) == 1
+        runs.append((out.read_text(), capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    text, err = runs[1]
+    assert_same_text(text, _referee_jsonl(params, argv, tampered))
+    passes = [row["pass"] for row in map(json.loads, text.splitlines()[:-1])]
+    assert len({t // 4 for t, ok in enumerate(passes) if ok}) > 1
+    assert {t // 4 for t, ok in enumerate(passes) if not ok} == set(range(5))
+    assert err.startswith(f"{sum(passes)}/20 trials passed") and err.count("\n") == 2
+
+
+INVALID_SIMULATIONS = {
+    "repeated-alpha": ("--alpha", "1,1,2,3"),
+    "zero-u": ("--u", "0,1,1,1"),
+    "negative-trials": ("--trials", "-1"),
+    "refused-build": (),
+}
+
+
+def _refuse(params):
+    raise ParameterError("no system for these parameters")
+
+
+@pytest.mark.parametrize("argv", INVALID_SIMULATIONS.values(), ids=INVALID_SIMULATIONS)
+def test_an_invalid_simulate_leaves_an_existing_out_untouched(tmp_path, monkeypatch, argv):
+    # The system is built before --out is opened, so its errors count too.
+    monkeypatch.setattr("qcsa.scheme.build_qcsa_system", _refuse)
+    out = tmp_path / "trials.jsonl"
+    out.write_bytes(b"an earlier run\n")
+    assert run_cli("simulate", "--p", "13", "--N", "4", "--L", "2", *argv, "--out", str(out)) == 2
+    assert out.read_bytes() == b"an earlier run\n"
+
+
+def test_simulate_memory_stays_flat_in_trials(tmp_path, capsys):
+    """simulate holds one block of trials at a time: 20,000 trials at N = 64
+    trace under 8 MB, where building every row first took 109 MB."""
+    argv = ("simulate", "--p", "2147483647", "--N", "64", "--L", "16", "--trials", "20000",
+            "--out", str(tmp_path / "trials.jsonl"))
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000, peak
+    assert capsys.readouterr().err.startswith("20000/20000 trials passed")
 
 
 def _set(path, transform):
@@ -676,6 +763,23 @@ def test_rates_rejects_an_empty_selection(tmp_path, capsys, argv, message):
     assert run_cli("rates", *argv, "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+UNWRITABLE_OUTPUTS = {
+    "construct": ("construct", "--p", "13", "--N", "4", "--L", "2"),
+    "simulate": ("simulate", "--p", "13", "--N", "4", "--L", "2"),
+    "rates": ("rates", "--N", "4"),
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS)
+def test_an_unwritable_out_is_a_clean_error(tmp_path, capsys, argv):
+    # This was once "internal error: [Errno 2] ...", for simulate after every trial ran.
+    path = tmp_path / "missing" / "out.txt"
+    assert run_cli(*argv, "--out", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+    assert captured.out == ""
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):
