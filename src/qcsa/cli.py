@@ -19,11 +19,11 @@ take is read again by ``json.load`` itself.
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -70,27 +70,22 @@ def _int_range(text: str) -> tuple:
     return lo, hi
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+@contextmanager
+def _output(path: str | None):
+    """The stream a command writes to: stdout, or ``path`` opened for writing.
 
-
-def _write_text(path: str | None, chunks) -> None:
-    """Write the strings of ``chunks`` in order, to ``path`` or to stdout.
-
-    ``chunks`` may be a generator that computes them: the file is opened
-    before the first is drawn.
+    A relative ``path`` is joined to ``$QCSA_OUTPUT_DIR`` when that is set.
+    Any OSError while the file is open becomes an OutputError.
     """
     if path is None:
-        sys.stdout.writelines(chunks)
+        yield sys.stdout
         return
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    if base and not os.path.isabs(path):
+        path = os.path.join(base, path)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+            yield fh
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}")
 
@@ -195,7 +190,8 @@ def cmd_construct(args) -> int:
     bundle["seed"] = args.seed
     if args.beta is not None:
         bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta)).to_dict(arrays=True)
-    _write_text(_resolve_out(args.out), _json_document(bundle))
+    with _output(args.out) as out:
+        out.writelines(_json_document(bundle))
     return 0
 
 
@@ -319,6 +315,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Write each block's trial rows as the block arrives, then the run's summary.
+
+    A row is ``json.dumps(report, sort_keys=True) + "\\n"`` of the trial's
+    ``run_trials`` report, written from the block's arrays: ``params`` and
+    ``costs`` are encoded once, and ``y`` and ``expected`` by ``_int_rows``.
+    """
     field = _field_from_args(args)
     params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
     if args.trials < 0:
@@ -327,45 +329,37 @@ def cmd_simulate(args) -> int:
         raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
     # Every ParameterError is raised here, before --out is opened.
     blocks = trial_blocks(params, args.seed, args.trials)
-    summary = trial_summary(params, args.seed, args.trials, 0, params.to_dict())
+    summary = trial_summary(params, args.seed, args.trials)
     summary["reduced"] = (params.N, params.L) != (args.N, args.L)
     summary["requested"] = {"N": args.N, "L": args.L}
-    failures = []
-    _write_text(_resolve_out(args.out), _jsonl(summary, trial_costs(params), blocks, failures))
+    head = f'{{"costs": {json.dumps(trial_costs(params), sort_keys=True)}, "expected": ['
+    middle = f'], "params": {json.dumps(summary["params"], sort_keys=True)}, "pass": '
+    passed, failure = 0, None
+    with _output(args.out) as out:
+        for block, y, expected, ok in blocks:
+            out.write("".join(
+                f'{head}{e_t}{middle}{"true" if ok_t else "false"}, "seed": [{args.seed}, {t}], '
+                f'"y": [{y_t}]}}\n'
+                for t, y_t, e_t, ok_t in zip(block, _int_rows(y.T), _int_rows(expected.T),
+                                             ok.tolist())
+            ))
+            if failure is None and not ok.all():  # where the first failing y departs
+                j = int(np.argmin(ok))
+                i = int(np.argmax(y[:, j] != expected[:, j]))
+                failure = (f"first failing trial: (seed, t) = ({args.seed}, {block[j]}); "
+                           f"y[{i}] = {y[i, j]}, expected {expected[i, j]}")
+            passed += int(np.count_nonzero(ok))
+        summary["passed"] = passed
+        out.write(json.dumps(summary, sort_keys=True) + "\n")
     print(
-        f"{summary['passed']}/{summary['trials']} trials passed at "
+        f"{passed}/{args.trials} trials passed at "
         f"N={params.N} L={params.L} q={field.p} "
         f"({params.N} qudits per trial for {2 * params.L} desired symbols)",
         file=sys.stderr,
     )
-    if failures:
-        print(failures[0], file=sys.stderr)
-    return 0 if summary["passed"] == summary["trials"] else 1
-
-
-def _jsonl(summary: dict, costs: dict, blocks, failures: list):
-    """A run's JSONL: each block's trial rows as the block arrives, then ``summary``.
-
-    A row is ``json.dumps(report, sort_keys=True) + "\\n"`` of the trial's
-    ``run_trials`` report, written from the block's arrays: ``params`` and
-    ``costs`` are encoded once, and ``y`` and ``expected`` by ``_int_rows``.
-    Adds each block's passes to ``summary["passed"]``, and appends to
-    ``failures`` where the first failing trial departs from its prediction.
-    """
-    seed = summary["seed"]
-    head = f'{{"costs": {json.dumps(costs, sort_keys=True)}, "expected": ['
-    middle = f'], "params": {json.dumps(summary["params"], sort_keys=True)}, "pass": '
-    for block, y, expected, ok in blocks:
-        yield "".join(
-            f'{head}{e_t}{middle}{"true" if ok_t else "false"}, "seed": [{seed}, {t}], '
-            f'"y": [{y_t}]}}\n'
-            for t, y_t, e_t, ok_t in zip(block, _int_rows(y.T), _int_rows(expected.T), ok.tolist())
-        )
-        passed = int(np.count_nonzero(ok))
-        if passed < len(block) and not failures:
-            failures.append(_first_failure(seed, block, y, expected, ok))
-        summary["passed"] += passed
-    yield json.dumps(summary, sort_keys=True) + "\n"
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return 0 if passed == args.trials else 1
 
 
 def _int_rows(a: np.ndarray) -> list:
@@ -393,14 +387,6 @@ def _int_rows(a: np.ndarray) -> list:
     return [flat[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
-def _first_failure(seed: int, block: range, y, expected, ok) -> str:
-    """Where the block's first failing trial's y departs from its prediction."""
-    j = int(np.argmin(ok))
-    i = int(np.argmax(y[:, j] != expected[:, j]))
-    return (f"first failing trial: (seed, t) = ({seed}, {block[j]}); "
-            f"y[{i}] = {y[i, j]}, expected {expected[i, j]}")
-
-
 def cmd_rates(args) -> int:
     n_lo, n_hi = args.N
     if n_lo < 2:
@@ -412,15 +398,13 @@ def cmd_rates(args) -> int:
             rows.append(rate_report(n, l).to_dict())
     if not rows:  # only a --L filter can empty the grid, since N >= 2
         raise ParameterError(f"--N {n_lo}:{n_hi} --L {l_lo}:{l_hi} selects no pair with 1 <= L < N")
-    if args.format == "json":
-        chunks = _json_document(rows)
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        chunks = [buf.getvalue()]
-    _write_text(_resolve_out(args.out), chunks)
+    with _output(args.out) as out:
+        if args.format == "json":
+            out.writelines(_json_document(rows))
+        else:
+            writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
     return 0
 
 

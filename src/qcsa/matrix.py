@@ -137,27 +137,25 @@ def json_ints(values, key: str, lo: int, hi: int) -> np.ndarray:
     The list may also come already read as a 1-D int64 array (the CLI's
     bundle reader gives one); then only the range is checked.  For a list
     the type pass comes first because numpy would accept what JSON must
-    not: ``np.array([1, True])`` is int64 ``[1, 1]``.  The range is then
-    checked on the array; an entry past int64 fails the conversion itself.
-    A failure is located entry by entry, so the error names the first bad one.
+    not: ``np.array([1, True])`` is int64 ``[1, 1]``; an entry past int64
+    fails the conversion itself.  Both forms then share one range check on
+    the array, and a failure is located entry by entry in the list (an
+    array's ``tolist``), so the error names the first bad one.
     """
     hi = min(hi, 2**63)  # every entry must fit in int64 as well
+    arr = None
     if isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1:
         arr = values.copy()
-        if not arr.size or (lo <= arr.min() and arr.max() < hi):
-            return arr
-        i = int(np.flatnonzero((arr < lo) | (arr >= hi))[0])
-        raise ValueError(f"{key}[{i}] must be an integer in [{lo}, {hi}), got {arr[i]}")
-    if not isinstance(values, list):
+    elif not isinstance(values, list):
         raise ValueError(f"{key} must be a list, got {type(values).__name__}")
-    if set(map(type, values)) <= {int}:
+    elif set(map(type, values)) <= {int}:
         try:
             arr = np.array(values, dtype=np.int64)
         except OverflowError:
             pass
-        else:
-            if not arr.size or (lo <= arr.min() and arr.max() < hi):
-                return arr
+    if arr is not None and (not arr.size or (lo <= arr.min() and arr.max() < hi)):
+        return arr
+    values = values.tolist() if isinstance(values, np.ndarray) else values
     i = next(i for i, x in enumerate(values) if type(x) is not int or not lo <= x < hi)
     raise ValueError(f"{key}[{i}] must be an integer in [{lo}, {hi}), got {values[i]!r}")
 

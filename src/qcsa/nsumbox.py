@@ -169,15 +169,16 @@ class NSumBox:
 
 
 def _parse(doc: dict, key: str, parse):
-    """parse(doc[key]), with its errors re-raised as ValueErrors naming ``key``.
+    """parse(doc[key]) of a JSON object, with its errors re-raised as ValueErrors naming ``key``.
 
     A missing ``key`` itself stays a KeyError, for the caller to name.
     """
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {type(value).__name__}")
     try:
-        return parse(doc[key])
+        return parse(value)
     except KeyError as exc:
-        if key not in doc:
-            raise
         raise ValueError(f"{key}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from exc
@@ -190,16 +191,6 @@ def _matrix(doc: dict, key: str, p: int, shape: tuple) -> FieldMatrix:
     if mat.shape != shape:
         raise ValueError(f"{key} must have shape {shape}, got {mat.shape}")
     return mat
-
-
-def _box_from_dict(doc: dict, field: PrimeField, n: int, m_key: str) -> NSumBox:
-    """The box serialized in ``doc``, with its channel matrix under ``m_key``."""
-    m = _matrix(doc, m_key, field.p, (n, 2 * n))
-    g, h = (_matrix(doc, key, field.p, (2 * n, n)) for key in ("G", "H"))
-    pi = _parse(doc, "pi", Permutation.from_dict) if doc.get("pi") is not None else None
-    if pi is not None and pi.n != 2 * n:
-        raise ValueError(f"pi must permute [1..{2 * n}], got length {pi.n}")
-    return NSumBox(field, n, m, g, h, pi)
 
 
 def channel_from_gh(g: FieldMatrix, h: FieldMatrix) -> NSumBox:
@@ -265,6 +256,8 @@ class QcsaSystem:
         ``seed`` and ``Q_beta``, which ``construct`` may add, are checked
         when present (an integer, and an N x N matrix over GF(p)) but not kept.
         """
+        if not isinstance(doc, dict):
+            raise ValueError(f"bundle must be a JSON object, got {type(doc).__name__}")
         params = _parse(doc, "params", QcsaParams.from_dict)
         p, n = params.field.p, params.N
         qu, qv = (_matrix(doc, key, p, (n, n)) for key in ("Qu", "Qv"))
@@ -272,10 +265,15 @@ class QcsaSystem:
             json_int(doc["seed"], "seed")
         if "Q_beta" in doc:
             _matrix(doc, "Q_beta", p, (n, n))
-        box = _box_from_dict(doc, params.field, n, "M_Q")
+        m = _matrix(doc, "M_Q", p, (n, 2 * n))
+        g, h = (_matrix(doc, key, p, (2 * n, n)) for key in ("G", "H"))
+        pi = _parse(doc, "pi", Permutation.from_dict) if doc.get("pi") is not None else None
+        if pi is not None and pi.n != 2 * n:
+            raise ValueError(f"pi must permute [1..{2 * n}], got length {pi.n}")
         if tuple(json_ints(doc["u"], "u", 0, p).tolist()) != params.beta:
             raise ValueError("u disagrees with the parameter header")
-        return cls(params, tuple(json_ints(doc["v"], "v", 0, p).tolist()), qu, qv, box)
+        v = tuple(json_ints(doc["v"], "v", 0, p).tolist())
+        return cls(params, v, qu, qv, NSumBox(params.field, n, m, g, h, pi))
 
 
 def build_qcsa_system(params: QcsaParams) -> QcsaSystem:

@@ -263,15 +263,14 @@ def trial_blocks(params: QcsaParams, seed: int, trials: int, system: QcsaSystem 
     return blocks()
 
 
-def trial_summary(params: QcsaParams, seed: int, trials: int, passed: int,
-                  params_doc: dict) -> dict:
-    """:func:`run_trials`' result without its reports; ``params_doc`` is ``params.to_dict()``."""
+def trial_summary(params: QcsaParams, seed: int, trials: int) -> dict:
+    """:func:`run_trials`' result without its reports, and with ``passed`` still 0."""
     return {
-        "params": params_doc,
+        "params": params.to_dict(),
         "seed": seed,
         "rng": RNG_NAME,
         "trials": trials,
-        "passed": passed,
+        "passed": 0,
         "costs_per_trial": {
             "downloaded_qudits": params.N,
             "desired_symbols": 2 * params.L,
@@ -293,15 +292,14 @@ def run_trials(params: QcsaParams, seed: int, trials: int,
     dict before editing it.
     """
     blocks = trial_blocks(params, seed, trials, system)
-    params_doc, costs = params.to_dict(), trial_costs(params)
-    rows = [
-        {"seed": [int(seed), t], "params": params_doc, "y": y_t, "expected": e_t,
+    summary, costs = trial_summary(params, seed, trials), trial_costs(params)
+    summary["reports"] = [
+        {"seed": [int(seed), t], "params": summary["params"], "y": y_t, "expected": e_t,
          "pass": ok_t, "costs": costs}
         for block, y, expected, ok in blocks
         for t, y_t, e_t, ok_t in zip(block, y.T.tolist(), expected.T.tolist(), ok.tolist())
     ]
-    summary = trial_summary(params, seed, trials, sum(row["pass"] for row in rows), params_doc)
-    summary["reports"] = rows
+    summary["passed"] = sum(row["pass"] for row in summary["reports"])
     return summary
 
 
@@ -323,20 +321,23 @@ def reduce_servers(n: int, l: int) -> tuple:
 def reduced_params(field: PrimeField, n: int, l: int, alpha=None, beta=None, f=None) -> QcsaParams:
     """Parameters for the (possibly reduced) scheme actually run.
 
-    Applies the server reduction when L > N/2, keeping the first N'
-    evaluation points and the first L' desired-symbol points.  Defaults
-    follow the deterministic rule alpha_n = n - 1, f_j = N + j - 1 (with
-    the original N, so reduced and unreduced runs stay comparable); only
-    the kept prefixes are built, after N' + L' <= p is checked.
+    Given points are those of the requested point: N of alpha and beta and
+    L of f.  The server reduction when L > N/2 keeps the first N' of alpha
+    and beta and the first L' of f.  Defaults follow the deterministic rule
+    alpha_n = n - 1, f_j = N + j - 1 (with the original N, so reduced and
+    unreduced runs stay comparable); only the kept prefixes are built,
+    after N' + L' <= p is checked.
     """
     n2, l2 = reduce_servers(n, l)
     check_room(field, n2, l2)
-    alpha = tuple(range(n2)) if alpha is None else tuple(alpha)
-    f = tuple(range(n, n + l2)) if f is None else tuple(f)
-    beta = (1,) * n2 if beta is None else tuple(beta)
-    if len(alpha) < n2 or len(f) < l2 or len(beta) < n2:
-        raise ParameterError("not enough points supplied for the reduced scheme")
-    return QcsaParams(field, n2, l2, alpha[:n2], beta[:n2], f[:l2])
+    for name, points, size, count in (("alpha", alpha, "N", n), ("beta", beta, "N", n),
+                                      ("f", f, "L", l)):
+        if points is not None and len(points) != count:
+            raise ParameterError(f"{name} must have {size}={count} entries, got {len(points)}")
+    alpha = tuple(range(n2)) if alpha is None else tuple(alpha[:n2])
+    f = tuple(range(n, n + l2)) if f is None else tuple(f[:l2])
+    beta = (1,) * n2 if beta is None else tuple(beta[:n2])
+    return QcsaParams(field, n2, l2, alpha, beta, f)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import copy
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -491,6 +492,34 @@ def test_verify_rejects_malformed_entries(tmp_path, capsys, edit, key):
     assert key in captured.err
 
 
+NOT_OBJECTS = {"list": [], "int": 5, "str": "abc", "bool": True}
+# Each of these once exited 3 with Python's own TypeError text, such as
+# "Qu: 'int' object is not subscriptable"; a top-level list blamed params.
+# An edit maps the constructed bundle to the one written.
+NON_OBJECT_BUNDLES = {
+    **{f"bundle {kind}": (lambda doc, value=value: value,
+                          f"bundle must be a JSON object, got {kind}")
+       for kind, value in {**NOT_OBJECTS, "NoneType": None}.items()},
+    **{f"{key} {kind}": (lambda doc, key=key, value=value: {**doc, key: value},
+                         f"{key} must be an object, got {kind}")
+       for key in ("params", "Qu", "Qv", "G", "H", "M_Q", "Q_beta", "pi")
+       for kind, value in NOT_OBJECTS.items()},
+    # long enough for the array reader, so the message comes from the re-read
+    "Qu long int list": (lambda doc: {**doc, "Qu": list(range(2000))},
+                         "Qu must be an object, got list"),
+}
+
+
+@pytest.mark.parametrize("edit,message", NON_OBJECT_BUNDLES.values(), ids=NON_OBJECT_BUNDLES)
+def test_verify_names_a_value_that_is_not_an_object(tmp_path, capsys, edit, message):
+    path = tmp_path / "bundle.json"
+    run_cli("construct", "--p", "13", "--N", "4", "--L", "1", "--beta", "1,2,3,4",
+            "--out", str(path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert run_cli("verify", str(path)) == 3
+    assert capsys.readouterr() == ("", f"error: malformed bundle {path}: {message}\n")
+
+
 def test_verify_accepts_a_bundle_without_seed_or_q_beta(tmp_path, capsys):
     out = tmp_path / "bundle.json"
     system = build_qcsa_system(QcsaParams.default(PrimeField(13), 5, 2))
@@ -737,6 +766,26 @@ def test_rates_table_csv(tmp_path):
     assert len(rows) == sum(n - 1 for n in range(2, 7))
 
 
+RATE_GRIDS = {
+    "full": (("--N", "2:6"), [(n, l) for n in range(2, 7) for l in range(1, n)]),
+    "L-filter": (("--N", "3:5", "--L", "2:3"), [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]),
+}
+
+
+@pytest.mark.parametrize("argv,grid", RATE_GRIDS.values(), ids=RATE_GRIDS)
+def test_rates_csv_bytes_match_dictwriter(tmp_path, capsys, argv, grid):
+    rows = [rate_report(n, l).to_dict() for n, l in grid]
+    expected = io.StringIO()
+    writer = csv.DictWriter(expected, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    assert run_cli("rates", *argv) == 0
+    assert capsys.readouterr().out == expected.getvalue()
+    out = tmp_path / "rates.csv"
+    assert run_cli("rates", *argv, "--out", str(out)) == 0
+    assert out.read_bytes() == expected.getvalue().encode()
+
+
 def test_rates_table_json_with_l_filter(tmp_path):
     out = tmp_path / "rates.json"
     rc = run_cli("rates", "--N", "4", "--L", "1:2", "--format", "json", "--out", str(out))
@@ -782,14 +831,20 @@ def test_an_unwritable_out_is_a_clean_error(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
-def test_output_dir_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
-    assert run_cli("rates", "--N", "3", "--out", "env_rates.csv") == 0
-    assert (tmp_path / "env_rates.csv").exists()
-    # absolute paths ignore the env var
-    target = tmp_path / "abs.csv"
-    assert run_cli("rates", "--N", "3", "--out", str(target)) == 0
-    assert target.exists()
+def test_output_dir_env_var(tmp_path, monkeypatch, capsys):
+    for argv in (("rates", "--N", "3"), ("construct", "--p", "13", "--N", "4", "--L", "2"),
+                 ("simulate", "--p", "13", "--N", "4", "--L", "2", "--trials", "5")):
+        assert run_cli(*argv) == 0
+        stdout = capsys.readouterr().out
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        assert run_cli(*argv, "--out", f"env_{argv[0]}") == 0
+        assert (tmp_path / f"env_{argv[0]}").read_text() == stdout
+        # absolute paths ignore the env var
+        target = tmp_path / "abs" / argv[0]
+        target.parent.mkdir(exist_ok=True)
+        assert run_cli(*argv, "--out", str(target)) == 0
+        assert target.read_text() == stdout
+        monkeypatch.delenv(OUTPUT_DIR_ENV)
 
 
 def test_module_entry_point():
@@ -874,3 +929,35 @@ def test_simulate_checks_room_at_the_reduced_point(tmp_path):
     summary = json.loads(out.read_text().splitlines()[-1])
     assert summary["params"]["alpha"] == [0, 1, 2, 3] and summary["params"]["f"] == [10, 11]
     assert run_cli("simulate", "--p", "5", "--N", "10", "--L", "8", "--out", str(out)) == 2
+
+
+POINT_COUNTS = {
+    "extra-points": (("--N", "4", "--L", "2", "--alpha", "0,1,2,3,9", "--f", "7,8,11",
+                      "--u", "1,1,1,1,5,6"), "alpha must have N=4 entries, got 5"),
+    "extra-f": (("--N", "4", "--L", "2", "--f", "7,8,11"), "f must have L=2 entries, got 3"),
+    "short-u": (("--N", "4", "--L", "2", "--u", "1,1,1"), "beta must have N=4 entries, got 3"),
+}
+
+
+@pytest.mark.parametrize("argv,message", POINT_COUNTS.values(), ids=POINT_COUNTS)
+def test_simulate_takes_the_point_counts_construct_takes(tmp_path, capsys, argv, message):
+    # simulate once ignored the extra entries and exited 0.
+    out = tmp_path / "out"
+    for command in ("construct", "simulate"):
+        assert run_cli(command, "--p", "13", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: invalid parameters: {message}\n")
+    assert not out.exists()
+
+
+def test_a_reduced_simulate_takes_the_requested_point_counts(tmp_path, capsys):
+    # N = 10, L = 8 runs at (N', L') = (4, 2) on the prefixes of N and L points.
+    out = tmp_path / "trials.jsonl"
+    argv = ("simulate", "--p", "13", "--N", "10", "--L", "8")
+    assert run_cli(*argv, "--alpha", "0,1,2,3", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid parameters: alpha must have N=10 entries, got 4\n")
+    assert not out.exists()
+    assert run_cli(*argv, "--alpha", "0,1,2,3,4,5,6,7,8,9", "--f", "10,11,12,0,1,2,3,4",
+                   "--u", ",".join(["1"] * 10), "--out", str(out)) == 0
+    assert run_cli(*argv) == 0  # the default points have the same prefixes
+    assert out.read_text() == capsys.readouterr().out

@@ -309,6 +309,17 @@ def test_reduced_params_prefix_rule():
     assert (params.N, params.L) == (4, 2)
 
 
+def test_reduced_params_takes_the_requested_point_counts():
+    field = PrimeField(11)
+    params = reduced_params(field, 4, 3, alpha=(5, 6, 7, 8), beta=(2, 3, 4, 5), f=(0, 1, 2))
+    assert (params.alpha, params.beta, params.f) == ((5, 6), (2, 3), (0,))
+    for points, message in (({"alpha": (5, 6)}, "alpha must have N=4 entries, got 2"),
+                            ({"beta": (1,) * 5}, "beta must have N=4 entries, got 5"),
+                            ({"f": (0,)}, "f must have L=3 entries, got 1")):
+        with pytest.raises(ParameterError, match=message):
+            reduced_params(field, 4, 3, **points)
+
+
 def test_rate_report_examples():
     r = rate_report(4, 1)
     assert r.rate_classical == Fraction(1, 4)
