@@ -324,7 +324,7 @@ def cmd_simulate(args) -> int:
     field = _field_from_args(args)
     params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
     if args.trials < 0:
-        raise ParameterError("--trials must be nonnegative")
+        raise ParameterError(f"--trials must be nonnegative, got {args.trials}")
     if args.seed < 0:
         raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
     # Every ParameterError is raised here, before --out is opened.

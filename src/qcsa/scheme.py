@@ -29,6 +29,7 @@ of a batch on its own.  :func:`server_scale` and
 hand-built inputs; no trial runs through them.
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -241,15 +242,17 @@ def trial_costs(params: QcsaParams) -> dict:
 def trial_blocks(params: QcsaParams, seed: int, trials: int, system: QcsaSystem | None = None):
     """Run seeded trials a block at a time; trial t uses the derived stream (seed, t).
 
-    The trial count and the system are checked, and the system built, when
-    this is called; the trials run as the result is iterated.  It yields
-    ``(block, y, expected, ok)`` for each block of up to TRIAL_BLOCK trials
-    in order: the range of the block's t, the box outputs and the predicted
-    outputs as N x T arrays with column j for trial ``block[j]``, and the
-    bool mask of the trials whose output matched the prediction exactly.
-    Column j holds the y and expected of ``qcsa_roundtrip(params, (seed,
-    block[j]), system)``.
+    The seed (a non-negative int), the trial count and the system are
+    checked, and the system built, when this is called; the trials run as
+    the result is iterated.  It yields ``(block, y, expected, ok)`` for each
+    block of up to TRIAL_BLOCK trials in order: the range of the block's t,
+    the box outputs and the predicted outputs as N x T arrays with column j
+    for trial ``block[j]``, and the bool mask of the trials whose output
+    matched the prediction exactly.  Column j holds the y and expected of
+    ``qcsa_roundtrip(params, (seed, block[j]), system)``.
     """
+    if operator.index(seed) < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     if trials < 0:
         raise ParameterError(f"trial count must be nonnegative, got {trials}")
     engine = _system_for(params, system)._trial_engine

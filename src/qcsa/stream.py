@@ -10,13 +10,16 @@ draws one seed's stream in Python ints, and :func:`draws` the streams
 1. entropy words: an int is its little-endian 32-bit words (0 gives one
    word), a flat tuple or list of ints the concatenation of its items';
 2. ``SeedSequence``: the pool of 4 words is hashed and mixed, then
-   ``generate_state(4, uint64)`` gives initstate and initseq;
+   ``generate_state(4, uint64)`` gives initstate and initseq.  One hash
+   serves both shapes: a block's words are the seed's ints and t's words
+   as uint64 arrays, so its pool and state words are arrays;
 3. PCG64 seeding (O'Neill, "PCG: a family of simple fast space-efficient
    statistically good algorithms for random number generation", 2014):
    inc = 2 initseq + 1, then two steps of the LCG s -> a s + inc;
 4. output k is XSL-RR of state k = a^(k+1) initstate + (1 + a + ... +
    a^(k+1)) inc mod 2^128, so a per-count table gives every state of every
-   column in one pass of 32-bit limb products;
+   column in one pass over 64-bit halves: wrapping uint64 products, and
+   the high word of the two products of low halves;
 5. each 64-bit output gives two 32-bit draws, low half first, reduced by
    Lemire's method (ACM TOMACS 29, 2019): m = d p, keep m >> 32 unless
    m mod 2^32 < (2^32 - p) mod p.
@@ -77,32 +80,30 @@ def _hash_chain(init: int, mult: int, calls: int) -> list:
 
 @lru_cache(maxsize=64)
 def _hash_plan(n_words: int) -> tuple:
-    """SeedSequence's hashing of n_words >= 4 entropy words into its pool.
+    """SeedSequence's hashing of n_words >= 4 entropy words into its pool, then out of it.
 
     Returns the (xor, multiplier) pairs of the first four hashmix calls, one
     (source, target, xor, multiplier) step per later call (a source of 4 or
-    more is an extra entropy word), and all those constants as uint32 columns.
+    more is an extra entropy word), and ``generate_state``'s 8 pairs.
     """
     pairs = _hash_chain(INIT_A, MULT_A, POOL_SIZE * n_words)
     sources = [(src, dst) for src in range(POOL_SIZE) for dst in range(POOL_SIZE) if dst != src]
     sources += [(src, dst) for src in range(POOL_SIZE, n_words) for dst in range(POOL_SIZE)]
     steps = tuple((src, dst, x, m) for (src, dst), (x, m) in zip(sources, pairs[POOL_SIZE:]))
-    xors, mults = (np.array(c, dtype=np.uint32)[:, None] for c in zip(*pairs))
-    return pairs[:POOL_SIZE], steps, xors, mults
+    return pairs[:POOL_SIZE], steps, _hash_chain(INIT_B, MULT_B, 2 * POOL_SIZE)
 
 
-@lru_cache(maxsize=1)
-def _state_plan() -> tuple:
-    """``generate_state``'s (xor, multiplier) pairs for its 8 words, and as uint32 columns."""
-    pairs = _hash_chain(INIT_B, MULT_B, 2 * POOL_SIZE)
-    return pairs, *(np.array(c, dtype=np.uint32)[:, None] for c in zip(*pairs))
+def seed_words(words: list) -> list:
+    """``SeedSequence(seed).generate_state(4, uint64)`` as 8 uint32 words, lowest first.
 
-
-def seed_words(seed) -> list:
-    """``SeedSequence(seed).generate_state(4, uint64)`` as 8 uint32 words, lowest first."""
-    words = entropy_words(seed)
-    words += [0] * (POOL_SIZE - len(words))
-    first, steps, _, _ = _hash_plan(len(words))
+    words is ``entropy_words(seed)``, or the words of a block of seeds:
+    each an int below 2^32 or a uint64 array of such words, one entry per
+    seed, and then the 8 words are arrays.  Each product stays below 2^64
+    and each difference wraps mod 2^64 before it is masked, so ints and
+    arrays agree.
+    """
+    words = words + [0] * (POOL_SIZE - len(words))
+    first, steps, out_pairs = _hash_plan(len(words))
     pool = []
     for w, (x, m) in zip(words, first):
         v = (w ^ x) * m & M32
@@ -112,19 +113,28 @@ def seed_words(seed) -> list:
         r = (MIX_MULT_L * pool[dst] - MIX_MULT_R * (h ^ h >> 16)) & M32
         pool[dst] = r ^ r >> 16
     out = []
-    for i, (x, m) in enumerate(_state_plan()[0]):
+    for i, (x, m) in enumerate(out_pairs):
         v = (pool[i % POOL_SIZE] ^ x) * m & M32
         out.append(v ^ v >> 16)
     return out
 
 
+def pcg64_halves(w) -> tuple:
+    """PCG64's initstate and inc as 64-bit (high, low) halves, from 8 state words w.
+
+    ``generate_state(4, uint64)`` is val_k = w[2k] + 2^32 w[2k+1], and PCG64
+    seeds from initstate = val_0 2^64 + val_1 and inc = 2 (val_2 2^64 +
+    val_3) + 1.  Returns (initstate high, low, inc high, low).
+    """
+    seq_hi, seq_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+    return (w[0] | w[1] << 32, w[2] | w[3] << 32,
+            (seq_hi << 1 | seq_lo >> 63) & M64, (seq_lo << 1 | 1) & M64)
+
+
 def pcg64_state(seed) -> tuple:
     """(state, inc) of ``PCG64(seed)`` before its first output, as 128-bit ints."""
-    # generate_state(4, uint64) is val_k = w[2k] + 2^32 w[2k+1]; PCG64 seeds
-    # from initstate = val_0 2^64 + val_1 and initseq = val_2 2^64 + val_3.
-    w = seed_words(seed)
-    initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & M128
+    init_hi, init_lo, inc_hi, inc_lo = pcg64_halves(seed_words(entropy_words(seed)))
+    initstate, inc = init_hi << 64 | init_lo, inc_hi << 64 | inc_lo
     return ((initstate + inc) * PCG_MULT + inc) & M128, inc
 
 
@@ -151,9 +161,9 @@ def column(seed, p: int, count: int) -> list:
 
 @lru_cache(maxsize=64)
 def _lcg_table(outputs: int) -> tuple:
-    """Limbs of a^(k+1) and 1 + a + ... + a^(k+1) mod 2^128, for k = 1 .. outputs.
+    """a^(k+1) and 1 + a + ... + a^(k+1) mod 2^128, for k = 1 .. outputs.
 
-    Each is 4 (outputs, 1) uint64 arrays of 32-bit limbs, lowest first.
+    Returns the high and low 64-bit halves of each, as (outputs, 1) uint64 arrays.
     """
     powers, sums = [], []
     power, total = PCG_MULT, 1 + PCG_MULT
@@ -162,68 +172,36 @@ def _lcg_table(outputs: int) -> tuple:
         total = (total + power) & M128
         powers.append(power)
         sums.append(total)
-    return tuple(np.array([[(v >> 32 * i) & M32] for v in vals], dtype=np.uint64)
-                 for vals in (powers, sums) for i in range(4))
+    return tuple(np.array([[v >> shift & M64] for v in vals], dtype=np.uint64)
+                 for vals in (powers, sums) for shift in (64, 0))
 
 
-def _hashmix(value, xors, mults):
-    """SeedSequence's hashmix of ``value`` under each (xor, multiplier) row."""
-    v = (value ^ xors) * mults
-    return v ^ v >> np.uint32(16)
+def _mulhi(a, b):
+    """The high 64 bits of each 128-bit product of uint64 arrays a and b."""
+    a0, a1, b0, b1 = a & M32, a >> 32, b & M32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32) + (((mid & M32) + a0 * b1) >> 32)
 
 
-def _mix(x, y):
-    r = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-    return r ^ r >> np.uint32(16)
-
-
-def _block_states(words) -> tuple:
-    """Limbs of initstate and inc, (4, T) uint64, for (n_words, T) uint32 entropy words."""
-    _, steps, xors, mults = _hash_plan(len(words))
-    pool = _hashmix(words[:POOL_SIZE], xors[:POOL_SIZE], mults[:POOL_SIZE])
-    k = POOL_SIZE
-    for src in range(POOL_SIZE):
-        dst = [d for d in range(POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xors[k:k + 3], mults[k:k + 3]))
-        k += 3
-    for word in words[POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(word, xors[k:k + POOL_SIZE], mults[k:k + POOL_SIZE]))
-        k += POOL_SIZE
-    _, state_xors, state_mults = _state_plan()
-    w = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], state_xors, state_mults).astype(np.uint64)
-    initseq = w[[6, 7, 4, 5]]
-    low_bits = np.concatenate([np.ones((1, w.shape[1]), np.uint64), initseq[:3] >> np.uint64(31)])
-    return w[[2, 3, 0, 1]], (initseq << np.uint64(1) | low_bits) & np.uint64(M32)
-
-
-def _vector_draws(init, inc, p: int, count: int):
-    """Draws for the (4, T) limbs of initstate and inc, and which columns rejected one."""
-    table = _lcg_table((count + 1) // 2)
-    mask, shift = np.uint64(M32), np.uint64(32)
-    # state k = P_k init + Q_k inc mod 2^128, limb by limb.  Products below
-    # limb 3 are split into halves, so that their sums stay exact; limb 3 is
-    # only needed mod 2^32, so its sum may wrap.
-    acc = [np.zeros((len(table[0]), init.shape[1]), dtype=np.uint64) for _ in range(4)]
-    for i in range(4):
-        for j in range(4 - i):
-            for table_limb, col_limb in ((table[i], init[j]), (table[4 + i], inc[j])):
-                prod = table_limb * col_limb
-                if i + j < 3:
-                    acc[i + j + 1] += prod >> shift
-                    prod &= mask
-                acc[i + j] += prod
-    for i in range(3):
-        acc[i + 1] += acc[i] >> shift
-        acc[i] &= mask
-    x = (acc[3] << shift | acc[2]) ^ (acc[1] << shift | acc[0])
-    rot = acc[3] >> np.uint64(26) & np.uint64(63)
-    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))  # XSL-RR
+def _vector_draws(halves, p: int, count: int):
+    """Draws for ``pcg64_halves``' uint64 (T,) arrays, and which columns rejected one."""
+    init_hi, init_lo, inc_hi, inc_lo = halves
+    p_hi, p_lo, q_hi, q_lo = _lcg_table((count + 1) // 2)
+    # state k = P_k init + Q_k inc mod 2^128: the products of low halves in
+    # full, the cross products only mod 2^64, and the carry of the low sum.
+    init_part = p_lo * init_lo
+    lo = init_part + q_lo * inc_lo
+    hi = (_mulhi(p_lo, init_lo) + p_hi * init_lo + p_lo * init_hi + (lo < init_part)
+          + _mulhi(q_lo, inc_lo) + q_hi * inc_lo + q_lo * inc_hi)
+    rot = hi >> 58
+    x = hi ^ lo
+    x = x >> rot | x << ((64 - rot) & 63)  # XSL-RR
     scaled = np.empty((2 * len(x), x.shape[1]), dtype=np.uint64)
-    scaled[0::2] = x & mask
-    scaled[1::2] = x >> shift
+    scaled[0::2] = x & M32
+    scaled[1::2] = x >> 32
     scaled = scaled[:count] * np.uint64(p)
-    rejected = ((scaled & mask) < np.uint64(((1 << 32) - p) % p)).any(axis=0)
-    return (scaled >> shift).astype(np.int64), rejected
+    rejected = ((scaled & M32) < ((1 << 32) - p) % p).any(axis=0)
+    return (scaled >> 32).astype(np.int64), rejected
 
 
 def draws(seed: int, trials: range, p: int, count: int) -> np.ndarray:
@@ -237,11 +215,8 @@ def draws(seed: int, trials: range, p: int, count: int) -> np.ndarray:
     if len(entropy_words(trials[0])) != t_words:
         raise ValueError(f"{trials} crosses 2^32, where t gains an entropy word")
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
-    words = np.zeros((max(len(base) + t_words, POOL_SIZE), len(t)), dtype=np.uint32)
-    words[:len(base)] = np.array(base, dtype=np.uint32)[:, None]
-    for i in range(t_words):
-        words[len(base) + i] = t >> np.uint64(32 * i)  # the cast keeps the low word
-    out, rejected = _vector_draws(*_block_states(words), p, count)
+    words = seed_words(base + [t >> 32 * i & M32 for i in range(t_words)])
+    out, rejected = _vector_draws(pcg64_halves(words), p, count)
     for j in np.flatnonzero(rejected).tolist():
         out[:, j] = column((seed, trials[j]), p, count)
     return out

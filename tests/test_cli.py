@@ -520,6 +520,28 @@ def test_verify_names_a_value_that_is_not_an_object(tmp_path, capsys, edit, mess
     assert capsys.readouterr() == ("", f"error: malformed bundle {path}: {message}\n")
 
 
+# Well-formed values that contradict the rest of the bundle; no test
+# reached these branches before.  N = 4, so pi must permute [1..8].
+SELF_CONTRADICTING_BUNDLES = {
+    "pi length 6": (lambda doc: {**doc, "pi": {"n": 6, "image": [1, 2, 3, 4, 5, 6]}},
+                    "pi must permute [1..8], got length 6"),
+    "u not beta": (lambda doc: {**doc, "u": [1, 2, 3, 4]}, "u disagrees with the parameter header"),
+    "pi n past its image": (lambda doc: {**doc, "pi": {**doc["pi"], "n": 9}},
+                            "pi: permutation length disagrees with its header"),
+}
+
+
+@pytest.mark.parametrize("edit,message", SELF_CONTRADICTING_BUNDLES.values(),
+                         ids=SELF_CONTRADICTING_BUNDLES)
+def test_verify_names_a_bundle_that_contradicts_itself(tmp_path, capsys, edit, message):
+    path = tmp_path / "bundle.json"
+    run_cli("construct", "--p", "13", "--N", "4", "--L", "1", "--beta", "1,2,3,4",
+            "--out", str(path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert run_cli("verify", str(path)) == 3
+    assert capsys.readouterr() == ("", f"error: malformed bundle {path}: {message}\n")
+
+
 def test_verify_accepts_a_bundle_without_seed_or_q_beta(tmp_path, capsys):
     out = tmp_path / "bundle.json"
     system = build_qcsa_system(QcsaParams.default(PrimeField(13), 5, 2))
@@ -886,6 +908,31 @@ def test_simulate_leaves_numpy_random_unloaded(tmp_path):
 def test_usage_errors_exit_2():
     assert run_cli("construct", "--p", "5", "--N", "2") == 2  # missing --L
     assert run_cli("nonsense") == 2
+
+
+SIMULATE = ("simulate", "--p", "13", "--N", "4", "--L", "2")
+# The last stderr line of each bad argument list; argparse prints its usage first.
+BAD_ARGUMENTS = {
+    "rates-N-1": (("rates", "--N", "1"), "error: invalid parameters: need N >= 2, got 1"),
+    "alpha-not-int": (("construct", "--p", "13", "--N", "4", "--L", "2", "--alpha", "1,x"),
+                      "qcsa construct: error: argument --alpha: "
+                      "expected comma-separated integers, got '1,x'"),
+    "rates-N-range-not-int": (("rates", "--N", "2:x"),
+                              "qcsa rates: error: argument --N: expected N or A:B, got '2:x'"),
+    "negative-trials": ((*SIMULATE, "--trials", "-2"),
+                        "error: invalid parameters: --trials must be nonnegative, got -2"),
+    "negative-seed": ((*SIMULATE, "--seed", "-1"),
+                      "error: invalid parameters: --seed must be nonnegative, got -1"),
+}
+
+
+@pytest.mark.parametrize("argv,last_line", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_bad_arguments_exit_2_and_say_why(capsys, argv, last_line):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and captured.err.endswith("\n") and lines[-1] == last_line
+    assert len(lines) == 1 or lines[0].startswith(f"usage: qcsa {argv[0]} ")
 
 
 HUGE = str(10**20)  # past 2**63

@@ -44,14 +44,19 @@ def referee(seed, p: int, count: int) -> list:
 
 
 def from_limbs(limbs) -> int:
-    return sum(int(v) << 32 * i for i, v in enumerate(limbs))
+    """The 128-bit int of 64-bit (high, low) halves."""
+    high, low = limbs
+    return int(high) << 64 | int(low)
 
 
-def block_words(seeds) -> np.ndarray:
-    """The (n_words, T) uint32 entropy words of seeds that have equally many."""
-    words = [stream.entropy_words(s) for s in seeds]
-    n_words = max(len(words[0]), stream.POOL_SIZE)
-    return np.array([w + [0] * (n_words - len(w)) for w in words], dtype=np.uint32).T
+def block_words(seeds) -> list:
+    """The entropy words of seeds that have equally many, as ``stream.seed_words`` takes them.
+
+    A word that every seed shares is an int, any other a uint64 array with
+    one entry per seed.
+    """
+    columns = zip(*(stream.entropy_words(s) for s in seeds))
+    return [c[0] if len(set(c)) == 1 else np.array(c, dtype=np.uint64) for c in columns]
 
 
 def assert_block_matches(seed, trials, p: int, count: int):
@@ -63,7 +68,7 @@ def assert_block_matches(seed, trials, p: int, count: int):
 
 @pytest.mark.parametrize("seed", SEEDS, ids=repr)
 def test_seed_words_and_pcg64_state_match_numpy(seed):
-    w = stream.seed_words(seed)
+    w = stream.seed_words(stream.entropy_words(seed))
     state = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
     assert [w[2 * k] | w[2 * k + 1] << 32 for k in range(4)] == state
     pcg = np.random.PCG64(seed).state["state"]
@@ -72,11 +77,29 @@ def test_seed_words_and_pcg64_state_match_numpy(seed):
 
 @pytest.mark.parametrize("seeds", BLOCKS.values(), ids=BLOCKS.keys())
 def test_block_seeding_matches_numpy(seeds):
-    init, inc = stream._block_states(block_words(seeds))
+    init_hi, init_lo, inc_hi, inc_lo = stream.pcg64_halves(stream.seed_words(block_words(seeds)))
     for j, seed in enumerate(seeds):
         val = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-        assert from_limbs(init[:, j]) == val[0] << 64 | val[1]
-        assert from_limbs(inc[:, j]) == np.random.PCG64(seed).state["state"]["inc"]
+        assert from_limbs((init_hi[j], init_lo[j])) == val[0] << 64 | val[1]
+        assert from_limbs((inc_hi[j], inc_lo[j])) == np.random.PCG64(seed).state["state"]["inc"]
+
+
+@pytest.mark.parametrize("seeds", BLOCKS.values(), ids=BLOCKS.keys())
+def test_one_hash_serves_ints_and_blocks(seeds):
+    """The block's word list mixes int base words with uint64 array t words."""
+    words = block_words(seeds)
+    assert any(type(w) is int for w in words) and any(isinstance(w, np.ndarray) for w in words)
+    block = stream.seed_words(words)
+    halves = stream.pcg64_halves(block)
+    assert all(w.dtype == np.uint64 and w.shape == (len(seeds),) for w in block + list(halves))
+    for j, seed in enumerate(seeds):
+        state = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        pcg = np.random.PCG64(seed).state["state"]
+        for w in (stream.seed_words(stream.entropy_words(seed)), [int(v[j]) for v in block]):
+            assert [w[2 * k] | w[2 * k + 1] << 32 for k in range(4)] == state
+        initstate, inc = (from_limbs((high[j], low[j])) for high, low in (halves[:2], halves[2:]))
+        assert inc == pcg["inc"]
+        assert ((initstate + inc) * stream.PCG_MULT + inc) % 2**128 == pcg["state"]
 
 
 @pytest.mark.parametrize("p", MODULI)
@@ -115,10 +138,10 @@ def test_array_and_scalar_paths_agree(width, p):
 
 def test_rejected_columns_leave_the_array_path():
     seeds = [(3, t) for t in range(64)]
-    states = stream._block_states(block_words(seeds))
-    _, rejected = stream._vector_draws(*states, 2**30 + 3, 4)
+    halves = stream.pcg64_halves(stream.seed_words(block_words(seeds)))
+    _, rejected = stream._vector_draws(halves, 2**30 + 3, 4)
     assert rejected.any() and not rejected.all()
-    _, rejected = stream._vector_draws(*states, 101, 4)
+    _, rejected = stream._vector_draws(halves, 101, 4)
     assert not rejected.any()
 
 
@@ -146,11 +169,11 @@ def test_lemire_keeps_a_draw_on_the_threshold_and_rejects_one_below(p):
         assert expected[-1][0] == on * p >> 32
         assert stream._column(state, inc, p, 6) == expected[-1]
     # The array path starts from initstate: state = a initstate + (1 + a) inc.
-    limbs = [np.array([[v >> 32 * i & 0xFFFFFFFF for v in values] for i in range(4)],
-                      dtype=np.uint64)
-             for values in ([(s - (1 + a) * inc) * pow(a, -1, 1 << 128) & m128 for s in states],
-                            [inc, inc])]
-    got, rejected = stream._vector_draws(*limbs, p, 2)
+    halves = [np.array([v >> shift & (1 << 64) - 1 for v in values], dtype=np.uint64)
+              for values in ([(s - (1 + a) * inc) * pow(a, -1, 1 << 128) & m128 for s in states],
+                             [inc, inc])
+              for shift in (64, 0)]
+    got, rejected = stream._vector_draws(halves, p, 2)
     assert rejected.tolist() == [False, True]
     assert got[:, 0].tolist() == expected[0][:2]
 

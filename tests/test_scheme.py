@@ -19,6 +19,7 @@ from qcsa.scheme import (
     reduced_params,
     run_trials,
     server_scale,
+    trial_blocks,
 )
 
 import oracles
@@ -197,6 +198,27 @@ def test_run_trials_counts_and_replays():
     assert summary == again
     empty = run_trials(params, 21, 0)
     assert empty["passed"] == 0 and empty["reports"] == []
+
+
+@pytest.mark.parametrize("trials", [0, 3])
+@pytest.mark.parametrize("seed,error,message", [
+    (-1, ParameterError, "seed must be nonnegative, got -1"),
+    (np.int64(-2), ParameterError, "seed must be nonnegative, got -2"),
+    (1.5, TypeError, "cannot be interpreted as an integer"),
+    ("7", TypeError, "cannot be interpreted as an integer"),
+], ids=["-1", "int64-minus-2", "float", "str"])
+def test_trial_blocks_checks_its_seed_before_building(seed, error, message, trials,
+                                                      monkeypatch):
+    # run_trials once recorded seed -1 at 0 trials, and at 3 raised the
+    # stream's bare ValueError; trial_blocks raised nothing until iterated.
+    builds = []
+    monkeypatch.setattr(scheme, "build_qcsa_system", lambda *args: builds.append(args))
+    params = QcsaParams.default(GF13, 4, 2)
+    with pytest.raises(error, match=message):
+        trial_blocks(params, seed, trials)
+    with pytest.raises(error, match=message):
+        run_trials(params, seed, trials)
+    assert builds == []
 
 
 GF101 = PrimeField(101)
