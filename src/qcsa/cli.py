@@ -28,10 +28,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import ParameterError, QcsaParams, check_room, qcsa_matrix
+from .codes import ParameterError, qcsa_matrix
 from .field import PrimeField
 from .nsumbox import QcsaSystem, build_qcsa_system, verify_system
-from .scheme import rate_report, reduced_params, trial_blocks, trial_costs, trial_summary
+from .scheme import (rate_report, reduce_servers, reduced_params, trial_blocks, trial_costs,
+                     trial_summary)
 
 DEFAULT_SEED = 1729
 OUTPUT_DIR_ENV = "QCSA_OUTPUT_DIR"
@@ -93,17 +94,20 @@ def _output(path: str | None):
 def _json_chunks(value, pad: str = ""):
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, in pieces.
 
-    An integer array is a leaf written as a flat JSON list in row-major
-    order: one ``tolist`` and one ``%d`` format for the whole array.  Dicts
-    go by sorted key and lists and tuples item by item, as in ``json``;
-    scalars and empty containers go through ``json.dumps``.
+    A list whose first item is an int (not a bool) is a leaf, written with
+    one ``%d`` format per 4096 entries; that holds because every list in
+    these documents is all ints or holds no int.  Dicts go by sorted key and
+    other lists and tuples item by item, as in ``json``; scalars and empty
+    containers go through ``json.dumps``.
     """
     inner = pad + "  "
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        entries = value.ravel().tolist()
+    if isinstance(value, list) and value and type(value[0]) is int:
         sep = ",\n" + inner
-        body = sep.join(["%d"] * len(entries)) % tuple(entries)
-        yield f"[\n{inner}{body}\n{pad}]" if entries else "[]"
+        yield "[\n" + inner
+        for start in range(0, len(value), 4096):  # never the text of a whole M_Q at once
+            part = value[start:start + 4096]
+            yield (sep if start else "") + sep.join(["%d"] * len(part)) % tuple(part)
+        yield f"\n{pad}]"
     elif isinstance(value, dict) and value:
         sep = "{\n"
         for key in sorted(value):
@@ -178,18 +182,13 @@ def _field_from_args(args) -> PrimeField:
 
 def cmd_construct(args) -> int:
     field = _field_from_args(args)
-    if not 1 <= args.L < args.N:
-        raise ParameterError(f"need 1 <= L < N, got N={args.N}, L={args.L}")
-    check_room(field, args.N, args.L)
-    u = args.u if args.u is not None else (1,) * args.N
-    alpha = args.alpha if args.alpha is not None else tuple(range(args.N))
-    f = args.f if args.f is not None else tuple(range(args.N, args.N + args.L))
-    params = QcsaParams(field, args.N, args.L, alpha, u, f)
-    system = build_qcsa_system(params)
-    bundle = system.to_dict(arrays=True)
+    if reduce_servers(args.N, args.L) != (args.N, args.L):
+        raise ParameterError(f"L={args.L} exceeds N/2={args.N / 2}; not constructible")
+    params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
+    bundle = build_qcsa_system(params).to_dict()
     bundle["seed"] = args.seed
     if args.beta is not None:
-        bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta)).to_dict(arrays=True)
+        bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta)).to_dict()
     with _output(args.out) as out:
         out.writelines(_json_document(bundle))
     return 0

@@ -316,14 +316,13 @@ class FieldMatrix:
             return NotImplemented
         return self.field.p == other.field.p and np.array_equal(self._data, other._data)
 
-    def to_dict(self, arrays: bool = False) -> dict:
-        """The entries in row-major order, as ints or, with ``arrays``, as one int64 array."""
-        data = self._data.ravel()
+    def to_dict(self) -> dict:
+        """The entries in row-major order, as ints."""
         return {
             "p": self.field.p,
             "rows": self.rows,
             "cols": self.cols,
-            "data": data if arrays else data.tolist(),
+            "data": self._data.ravel().tolist(),
         }
 
     def __repr__(self) -> str:

@@ -235,18 +235,18 @@ class QcsaSystem:
 
         return _TrialEngine(self)
 
-    def to_dict(self, arrays: bool = False) -> dict:
-        """The bundle; with ``arrays`` each matrix keeps its entries as one int64 array."""
+    def to_dict(self) -> dict:
+        """The bundle, as ``construct`` writes it without its ``seed`` and ``Q_beta``."""
         return {
             "params": self.params.to_dict(),
             "u": list(self.u),
             "v": list(self.v),
-            "Qu": self.qu.to_dict(arrays),
-            "Qv": self.qv.to_dict(arrays),
-            "G": self.box.G.to_dict(arrays),
-            "H": self.box.H.to_dict(arrays),
+            "Qu": self.qu.to_dict(),
+            "Qv": self.qv.to_dict(),
+            "G": self.box.G.to_dict(),
+            "H": self.box.H.to_dict(),
             "pi": self.box.pi.to_dict() if self.box.pi is not None else None,
-            "M_Q": self.box.M.to_dict(arrays),
+            "M_Q": self.box.M.to_dict(),
         }
 
     @classmethod

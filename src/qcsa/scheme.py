@@ -251,7 +251,8 @@ def trial_blocks(params: QcsaParams, seed: int, trials: int, system: QcsaSystem 
     matched the prediction exactly.  Column j holds the y and expected of
     ``qcsa_roundtrip(params, (seed, block[j]), system)``.
     """
-    if operator.index(seed) < 0:
+    seed, trials = operator.index(seed), operator.index(trials)
+    if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     if trials < 0:
         raise ParameterError(f"trial count must be nonnegative, got {trials}")
@@ -267,18 +268,15 @@ def trial_blocks(params: QcsaParams, seed: int, trials: int, system: QcsaSystem 
 
 
 def trial_summary(params: QcsaParams, seed: int, trials: int) -> dict:
-    """:func:`run_trials`' result without its reports, and with ``passed`` still 0."""
+    """:func:`run_trials`' result without its reports and ``passed``; seed and trials as ints."""
+    costs = trial_costs(params)
+    del costs["qudits_per_desired_symbol"]
     return {
         "params": params.to_dict(),
-        "seed": seed,
+        "seed": operator.index(seed),
         "rng": RNG_NAME,
-        "trials": trials,
-        "passed": 0,
-        "costs_per_trial": {
-            "downloaded_qudits": params.N,
-            "desired_symbols": 2 * params.L,
-            "classical_download_dits": 2 * params.N,
-        },
+        "trials": operator.index(trials),
+        "costs_per_trial": costs,
     }
 
 
@@ -297,7 +295,7 @@ def run_trials(params: QcsaParams, seed: int, trials: int,
     blocks = trial_blocks(params, seed, trials, system)
     summary, costs = trial_summary(params, seed, trials), trial_costs(params)
     summary["reports"] = [
-        {"seed": [int(seed), t], "params": summary["params"], "y": y_t, "expected": e_t,
+        {"seed": [summary["seed"], t], "params": summary["params"], "y": y_t, "expected": e_t,
          "pass": ok_t, "costs": costs}
         for block, y, expected, ok in blocks
         for t, y_t, e_t, ok_t in zip(block, y.T.tolist(), expected.T.tolist(), ok.tolist())

@@ -53,7 +53,7 @@ def entropy_words(seed) -> list:
     if isinstance(seed, (int, np.integer)):
         n = int(seed)
         if n < 0:
-            raise ValueError("expected non-negative integer")
+            raise ValueError(f"expected non-negative integer, got {n}")
         return [n >> shift & M32 for shift in range(0, max(n.bit_length(), 1), 32)]
     if isinstance(seed, (tuple, list)):
         words = []

@@ -268,6 +268,8 @@ def assert_same_text(got: str, want: str):
 def _referee_bundle(args) -> str:
     p, n, l = args["p"], args["N"], args["L"]
     params = QcsaParams.default(PrimeField(p), n, l)
+    if "alpha" in args:
+        params = replace(params, alpha=tuple(args["alpha"]), beta=tuple(args["u"]))
     bundle = build_qcsa_system(params).to_dict()
     bundle["seed"] = DEFAULT_SEED
     if "beta" in args:
@@ -281,14 +283,19 @@ LARGE_BUNDLES = {
     "256-64-65521-beta": {"p": 65521, "N": 256, "L": 64, "beta": range(2, 258)},
     "255-64-2^31-1-beta": {"p": 2**31 - 1, "N": 255, "L": 64,
                            "beta": range(2**31 - 2, 2**31 - 257, -1)},
+    # Given --alpha, --u and --beta; at N = 2, L = 1 the list f has one entry.
+    "2-1-13-points": {"p": 13, "N": 2, "L": 1, "alpha": (7, 3), "u": (5, 12), "beta": (4, 9)},
+    "5-2-13-points": {"p": 13, "N": 5, "L": 2, "alpha": (12, 0, 10, 9, 8), "u": (1, 2, 3, 4, 11),
+                      "beta": (6, 7, 8, 1, 10)},
 }
 
 
 @pytest.mark.parametrize("args", LARGE_BUNDLES.values(), ids=LARGE_BUNDLES)
 def test_construct_bytes_match_json_at_large_n(capsys, args):
     argv = ["construct", "--p", str(args["p"]), "--N", str(args["N"]), "--L", str(args["L"])]
-    if "beta" in args:
-        argv += ["--beta", ",".join(map(str, args["beta"]))]
+    for key in ("alpha", "u", "beta"):
+        if key in args:
+            argv += [f"--{key}", ",".join(map(str, args[key]))]
     assert run_cli(*argv) == 0
     assert_same_text(capsys.readouterr().out, _referee_bundle(args))
 
@@ -923,6 +930,9 @@ BAD_ARGUMENTS = {
                         "error: invalid parameters: --trials must be nonnegative, got -2"),
     "negative-seed": ((*SIMULATE, "--seed", "-1"),
                       "error: invalid parameters: --seed must be nonnegative, got -1"),
+    # simulate reduces (4, 3) to (2, 1); construct refuses it before counting --u.
+    "construct-L-past-half-N": (("construct", "--p", "13", "--N", "4", "--L", "3", "--u", "1,1,1"),
+                             "error: invalid parameters: L=3 exceeds N/2=2.0; not constructible"),
 }
 
 
@@ -983,6 +993,15 @@ POINT_COUNTS = {
                       "--u", "1,1,1,1,5,6"), "alpha must have N=4 entries, got 5"),
     "extra-f": (("--N", "4", "--L", "2", "--f", "7,8,11"), "f must have L=2 entries, got 3"),
     "short-u": (("--N", "4", "--L", "2", "--u", "1,1,1"), "beta must have N=4 entries, got 3"),
+    "zero-u": (("--N", "4", "--L", "2", "--u", "1,0,1,1"),
+               "beta entries must be nonzero: (1, 0, 1, 1)"),
+    "repeated-alpha": (("--N", "4", "--L", "2", "--alpha", "0,1,1,3"),
+                       "alpha and f must be 6 pairwise distinct elements of GF(13): "
+                       "alpha=(0, 1, 1, 3), f=(4, 5)"),
+    "alpha-meets-f": (("--N", "4", "--L", "2", "--alpha", "0,1,2,4"),
+                      "alpha and f must be 6 pairwise distinct elements of GF(13): "
+                      "alpha=(0, 1, 2, 4), f=(4, 5)"),
+    "no-room": (("--N", "10", "--L", "4"), "GF(13) has fewer than N + L = 14 elements"),
 }
 
 

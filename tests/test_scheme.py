@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -219,6 +220,38 @@ def test_trial_blocks_checks_its_seed_before_building(seed, error, message, tria
     with pytest.raises(error, match=message):
         run_trials(params, seed, trials)
     assert builds == []
+
+
+def test_trial_blocks_checks_its_trial_count_before_building(monkeypatch):
+    # A float count once passed the call and raised only when iterated.
+    builds = []
+    monkeypatch.setattr(scheme, "build_qcsa_system", lambda *args: builds.append(args))
+    params = QcsaParams.default(GF13, 4, 2)
+    for call in (trial_blocks, run_trials):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call(params, 1, 2.0)
+    assert builds == []
+
+
+@pytest.mark.parametrize("seed,trials", [(np.int64(5), 3), (True, 2), (5, np.int64(3))],
+                         ids=["int64-seed", "bool-seed", "int64-trials"])
+def test_the_summary_records_the_request_as_ints(seed, trials):
+    # An int64 seed once made the summary fail json.dumps, and True was
+    # recorded as "seed": true.
+    params = QcsaParams.default(GF13, 4, 2)
+    summary = run_trials(params, seed, trials)
+    assert json.loads(json.dumps(summary)) == summary == run_trials(params, int(seed), int(trials))
+    assert type(summary["seed"]) is int and type(summary["trials"]) is int
+    assert summary["reports"][0]["seed"] == [summary["seed"], 0]
+    assert qcsa_roundtrip(params, summary["seed"]).report["seed"] == summary["seed"]
+
+
+def test_a_negative_single_trial_seed_is_named():
+    params = QcsaParams.default(GF13, 4, 2)
+    for call, seed in ((qcsa_roundtrip, -1), (make_instances, (5, -1))):
+        with pytest.raises(ValueError) as info:
+            call(params, seed)
+        assert str(info.value) == "expected non-negative integer, got -1"
 
 
 GF101 = PrimeField(101)
