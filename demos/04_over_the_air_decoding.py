@@ -69,7 +69,7 @@ print(f"y        = {result.y}")
 print(f"expected = delta(1) + tail(1) + delta(2) + tail(2) -> match: {result.passed}")
 assert result.passed
 
-costs = result.report["costs"]
+costs = result.to_dict()["costs"]
 print(f"costs: {costs['downloaded_qudits']} qudits for {costs['desired_symbols']} "
       f"desired symbols ({costs['qudits_per_desired_symbol']} qudits each), "
       f"vs {costs['classical_download_dits']} dits classically")

@@ -39,7 +39,7 @@ print(f"\n(N,L)=(4,3) over GF(11) actually runs as N'={params.N}, L'={params.L}:
       f"alpha={params.alpha}, f={params.f}")
 result = qcsa_roundtrip(params, seed=5)
 assert result.passed
-costs = result.report["costs"]
+costs = result.to_dict()["costs"]
 print(f"round trip recovered delta(1)={result.delta1}, delta(2)={result.delta2} at "
       f"{costs['qudits_per_desired_symbol']} qudit per desired symbol")
 

@@ -221,12 +221,12 @@ def _int_array(raw: bytes, start: int, end: int):
     """The list ``raw[start:end + 1]`` as int64, if it is a long dict value of small ints.
 
     Small means in [0, 10**18); long, at least ``_MIN_ARRAY_BYTES``.
-    ``np.fromstring`` also takes a sign, \\v and \\f, leading zeros, a
-    blank entry (as 0) and a trailing comma, and it saturates past int64.
-    So the list must follow a colon and end in a digit, its values must stay
-    below 10**18, and its bytes that are not commas or JSON whitespace must
-    be exactly its values' decimal digits; anything fromstring does not
-    read breaks that count too.  Returns None for any other list.
+    ``np.fromstring`` also takes a sign, \\v and \\f (even alone, as a 0),
+    leading zeros, a blank entry (as 0) and a trailing comma, and it
+    saturates past int64.  So the list must follow a colon and end in a
+    digit, its values must stay below 10**18, and its bytes that are not
+    commas or JSON whitespace must be ASCII digits, exactly as many as its
+    values' decimal digits.  Returns None for any other list.
     """
     if (end - start < _MIN_ARRAY_BYTES or _last_byte(raw, start) != b":"
             or not _last_byte(raw, end).isdigit()):
@@ -246,7 +246,8 @@ def _int_array(raw: bytes, start: int, end: int):
     if top >= 10**18:
         return None
     digits = arr.size + sum(np.count_nonzero(arr >= 10**k) for k in range(1, len(str(top))))
-    return arr if len(body.translate(None, b"," + _JSON_SPACE)) == digits else None
+    rest = body.translate(None, b"," + _JSON_SPACE)
+    return arr if rest.isdigit() and len(rest) == digits else None
 
 
 def _read_json(path: str):

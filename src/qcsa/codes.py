@@ -206,6 +206,11 @@ class QcsaParams:
     f: tuple
 
     def __post_init__(self):
+        for name in ("N", "L"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "alpha", _canonical(self.field, self.alpha))
         object.__setattr__(self, "beta", _canonical(self.field, self.beta))
         object.__setattr__(self, "f", _canonical(self.field, self.f))

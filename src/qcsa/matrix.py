@@ -89,9 +89,18 @@ def _eliminate(a: np.ndarray, p: int, stop: int) -> list:
     return pivots
 
 
+def _integers(values) -> np.ndarray:
+    """``values`` as int64; a float, str or other non-integer entry is a TypeError, not cast."""
+    if np.asarray(values).dtype.kind not in "biu":
+        for x in np.asarray(values, dtype=object).flat:
+            if not isinstance(x, (int, np.integer)):
+                raise TypeError(f"entries must be integers, got {x!r}")
+    return np.asarray(values, dtype=np.int64)
+
+
 def as_residue_vector(field: PrimeField, values, length: int | None = None) -> np.ndarray:
     """A fresh 1-D int64 array of the canonical residues of ``values``."""
-    arr = np.asarray(values, dtype=np.int64)
+    arr = _integers(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got ndim={arr.ndim}")
     if length is not None and arr.shape[0] != length:
@@ -166,10 +175,9 @@ class FieldMatrix:
     __slots__ = ("field", "_data")
 
     def __init__(self, field: PrimeField, data):
-        arr = np.array(data, dtype=np.int64)
+        arr = _integers(data) % field.p  # a new array: _integers may return ``data`` itself
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be 2-D, got ndim={arr.ndim}")
-        arr %= field.p
         arr.flags.writeable = False
         self.field = field
         self._data = arr
@@ -370,7 +378,7 @@ class Permutation:
     __slots__ = ("image",)
 
     def __init__(self, image):
-        img = tuple(int(x) for x in image)
+        img = tuple(_integers(image).tolist())
         if sorted(img) != list(range(1, len(img) + 1)):
             raise ValueError(f"not a bijection on [1..{len(img)}]: {img}")
         self.image = img

@@ -62,10 +62,6 @@ class SchemeInstance:
     nu: tuple
     answers: tuple
 
-    @property
-    def stacked(self) -> tuple:
-        return self.delta + self.nu
-
     @classmethod
     def from_symbols(cls, params: QcsaParams, index: int, delta, nu) -> "SchemeInstance":
         d = tuple(as_residue_vector(params.field, delta, params.L).tolist())
@@ -86,13 +82,12 @@ def classical_decode(answers, params: QcsaParams) -> np.ndarray:
     trials; the result has the same shape, with the first L rows holding
     the desired symbols.
     """
-    inv = _csa_inverse(params.field.p, params.alpha, params.f)
     arr = np.asarray(answers)
-    if arr.ndim == 1:
-        return inv.matvec(answers)
-    if arr.ndim == 2 and arr.shape[0] == params.N:
-        return (inv @ FieldMatrix(params.field, arr)).array.copy()
-    raise ValueError(f"answers must be length {params.N} or {params.N} x T, got {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.shape[0] != params.N:
+        raise ValueError(f"answers must be length {params.N} or {params.N} x T, got {arr.shape}")
+    inv = _csa_inverse(params.field.p, params.alpha, params.f).array
+    stack = FieldMatrix(params.field, arr.reshape(params.N, -1)).array
+    return _mod_matmul(inv, stack, params.field.p).reshape(arr.shape)
 
 
 def server_scale(field: PrimeField, a1, a2, u, v) -> np.ndarray:
@@ -111,9 +106,9 @@ class _TrialEngine:
 
     Holds the draws of 2N symbols mod p (one seed's column, or a block's
     2N x T stack), the CSA matrix C, the stacked multipliers [u; v] (checked
-    nonzero here), M_Q, the selector gather and the per-trial costs.  The
-    products go to ``_mod_matmul`` directly, whose exactness bounds hold
-    only for canonical residues, so every operand is reduced mod p first.
+    nonzero here), M_Q and the selector gather.  The products go to
+    ``_mod_matmul`` directly, whose exactness bounds hold only for canonical
+    residues, so every operand is reduced mod p first.
     """
 
     def __init__(self, system: QcsaSystem):
@@ -133,7 +128,6 @@ class _TrialEngine:
         self.uv = uv[:, None]
         self.m_q = system.box.M.array
         self.select = np.asarray(selector_row_indices(n, l)) - 1
-        self.costs = trial_costs(params)
 
     def run(self, symbols) -> tuple:
         """Run the drawn 2N x T stack S of symbols, one trial per column.
@@ -164,13 +158,17 @@ def _system_for(params: QcsaParams, system: QcsaSystem | None) -> QcsaSystem:
 
 @dataclass(frozen=True)
 class RoundTrip:
-    """Result of pushing two instances through the box once."""
+    """One trial through the box: what it ran (``seed`` as an int or a list of ints) and got."""
 
+    params: QcsaParams
+    seed: object
     instances: tuple
     y: tuple
     expected: tuple
-    passed: bool
-    report: dict
+
+    @property
+    def passed(self) -> bool:
+        return self.y == self.expected
 
     @property
     def delta1(self) -> tuple:
@@ -182,22 +180,20 @@ class RoundTrip:
 
     @property
     def nu_tail1(self) -> tuple:
-        nu = self.instances[0].nu
-        return nu[len(nu) - self.report["tail1_len"]:]
+        return self.instances[0].nu[self.params.half_ceil:]
 
     @property
     def nu_tail2(self) -> tuple:
-        nu = self.instances[1].nu
-        return nu[len(nu) - self.report["tail2_len"]:]
+        return self.instances[1].nu[self.params.half_floor:]
 
     def to_dict(self) -> dict:
         return {
-            "seed": self.report["seed"],
-            "params": self.report["params"],
+            "seed": self.seed,
+            "params": self.params.to_dict(),
             "y": list(self.y),
             "expected": list(self.expected),
             "pass": self.passed,
-            "costs": self.report["costs"],
+            "costs": trial_costs(self.params),
         }
 
 
@@ -217,15 +213,8 @@ def qcsa_roundtrip(params: QcsaParams, seed, system: QcsaSystem | None = None) -
     symbols, answers, y, expected = (tuple(a[:, 0].tolist()) for a in (drawn, *engine.run(drawn)))
     instances = (SchemeInstance(1, symbols[:l], symbols[l:n], answers[:n]),
                  SchemeInstance(2, symbols[n:n + l], symbols[n + l:], answers[n:]))
-    report = {
-        "seed": [int(s) for s in seed] if isinstance(seed, (tuple, list)) else int(seed),
-        "rng": RNG_NAME,
-        "params": params.to_dict(),
-        "tail1_len": params.half_floor - l,
-        "tail2_len": params.half_ceil - l,
-        "costs": dict(engine.costs),
-    }
-    return RoundTrip(instances, y, expected, y == expected, report)
+    seed = [int(s) for s in seed] if isinstance(seed, (tuple, list)) else int(seed)
+    return RoundTrip(params, seed, instances, y, expected)
 
 
 def trial_costs(params: QcsaParams) -> dict:

@@ -617,7 +617,8 @@ def _bytes(transform):
 ENTRY_PATHS = {"M_Q-first": ("M_Q", "data", 0), "M_Q-last": ("M_Q", "data", -1),
                "pi-last": ("pi", "image", -1)}
 ENTRY_TOKENS = ["0", "7", "007", "-0", "-1", "1.0", "1e2", "+1", "NaN", "Infinity", "1" * 18,
-                "1" * 19, "1" * 20, str(2**63 - 1), str(2**63), "5,", " 5 ", "[5]", "true", '"5"']
+                "1" * 19, "1" * 20, str(2**63 - 1), str(2**63), "5,", " 5 ", "[5]", "true", '"5"',
+                "+", "-", "\x0b", "\x0c"]
 READER_CASES = {f"{where} {token!r}": _entry(path, token)
                 for where, path in ENTRY_PATHS.items() for token in ENTRY_TOKENS}
 READER_CASES.update({

@@ -5,23 +5,30 @@ it still had a scalar element type, minus the branch for that type; the
 numpy version must agree with it exactly wherever the loop accepts input.
 The matrix operations that skip the copy and reduction of the public
 constructor, and ``json_ints`` on int64 arrays, are held to the same
-standard here.
+standard here.  Where the loop's ``int`` would truncate a float or parse a
+string, every entry point raises TypeError instead.
 """
+
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qcsa.codes import GrsSpec, QcsaParams, csa_matrix, dual_multipliers
 from qcsa.field import MAX_MODULUS, PrimeField, next_prime
 from qcsa.matrix import (
     FieldMatrix,
+    Permutation,
     SingularMatrixError,
     as_residue_vector,
     block_diag,
     hstack,
     json_ints,
 )
+from qcsa.scheme import SchemeInstance, classical_decode, server_scale
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -163,3 +170,37 @@ def test_int64_arrays_are_copied():
     got = json_ints(values, "k", 0, 7)
     got[0] = 6
     assert values[0] == 0
+
+
+GF13 = PrimeField(13)
+N2 = QcsaParams.default(GF13, 2, 1)
+# Each takes an entry x that numpy's int64 cast would read as 2.
+INTEGER_INPUTS = {
+    "as_residue_vector": lambda x: as_residue_vector(GF13, [0, x]),
+    "FieldMatrix": lambda x: FieldMatrix(GF13, [[0, x]]),
+    "FieldMatrix.matvec": lambda x: FieldMatrix.identity(GF13, 2).matvec((0, x)),
+    "Permutation": lambda x: Permutation([1, x]),
+    "GrsSpec": lambda x: GrsSpec(GF13, 2, 1, (0, x), (1, 1)),
+    "csa_matrix": lambda x: csa_matrix(GF13, (0, x), (5,)),
+    "dual_multipliers": lambda x: dual_multipliers(GF13, (0, x), (1, 1)),
+    "server_scale": lambda x: server_scale(GF13, (x, 0), (0, 0), (1, 1), (1, 1)),
+    "SchemeInstance.from_symbols": lambda x: SchemeInstance.from_symbols(N2, 1, (x,), (0,)),
+    "classical_decode": lambda x: classical_decode((0, x), N2),
+    "QcsaParams alpha": lambda x: QcsaParams(GF13, 2, 1, (0, x), (1, 1), (3,)),
+    "QcsaParams N": lambda x: QcsaParams(GF13, x, 1, (0, 1), (1, 1), (3,)),
+    "QcsaParams L": lambda x: QcsaParams(GF13, 4, x, (0, 1, 2, 3), (1,) * 4, (4, 5)),
+}
+NON_INTEGERS = [2.0, 2.5, np.float64(2), "2", Fraction(5, 2), Decimal("2.5")]
+
+
+NON_INTEGER_CASES = ([(name, x) for name in INTEGER_INPUTS for x in NON_INTEGERS]
+                     + [("QcsaParams N", True), ("QcsaParams L", True)])
+
+
+@pytest.mark.parametrize("name,entry", NON_INTEGER_CASES,
+                         ids=[f"{name}-{type(x).__name__} {x}" for name, x in NON_INTEGER_CASES])
+def test_non_integer_entries_are_refused(name, entry):
+    # numpy's cast once truncated floats and parsed strings, and QcsaParams
+    # took N = 2.0 and wrote it to its dict as 2.0.
+    with pytest.raises(TypeError, match="must be (an integer|integers), got"):
+        INTEGER_INPUTS[name](entry)

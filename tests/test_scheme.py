@@ -50,7 +50,7 @@ def test_instances_satisfy_mixing_invariant():
         i1, i2 = make_instances(params, int(rng.integers(0, 10**6)))
         csa = csa_matrix(GF13, params.alpha, params.f)
         for inst in (i1, i2):
-            assert csa.matvec(inst.stacked).tolist() == list(inst.answers)
+            assert csa.matvec(inst.delta + inst.nu).tolist() == list(inst.answers)
 
 
 def test_make_instances_replays_from_seed():
@@ -158,13 +158,14 @@ def test_roundtrip_recovers_symbols():
                 assert result.delta2 == tuple(dec2[:l].tolist())
 
 
-def test_roundtrip_tail_structure():
-    params = QcsaParams.default(GF13, 7, 2)
-    result = qcsa_roundtrip(params, 4)
-    nu1, nu2 = result.instances[0].nu, result.instances[1].nu
-    assert result.nu_tail1 == nu1[-1:]  # floor(7/2) - 2 = 1
-    assert result.nu_tail2 == nu2[-2:]  # ceil(7/2) - 2 = 2
-    assert result.y == result.delta1 + result.nu_tail1 + result.delta2 + result.nu_tail2
+@pytest.mark.parametrize("n,l", [(n, l) for n in range(2, 13) for l in range(1, n // 2 + 1)])
+def test_roundtrip_tail_structure(n, l):
+    result = qcsa_roundtrip(QcsaParams.default(PrimeField(101), n, l), (n, l))
+    tail1, tail2 = result.nu_tail1, result.nu_tail2
+    assert (len(tail1), len(tail2)) == (n // 2 - l, (n + 1) // 2 - l)
+    for tail, inst in ((tail1, result.instances[0]), (tail2, result.instances[1])):
+        assert inst.nu[len(inst.nu) - len(tail):] == tail
+    assert result.y == result.delta1 + tail1 + result.delta2 + tail2
 
 
 def test_roundtrip_half_rate_has_empty_tails():
@@ -178,12 +179,12 @@ def test_roundtrip_half_rate_has_empty_tails():
 def test_roundtrip_report_costs():
     params = QcsaParams.default(GF13, 6, 2)
     result = qcsa_roundtrip(params, 3)
-    costs = result.report["costs"]
+    costs = result.to_dict()["costs"]
     assert costs["downloaded_qudits"] == 6
     assert costs["desired_symbols"] == 4
     assert costs["classical_download_dits"] == 12
     assert costs["qudits_per_desired_symbol"] == "3/2"
-    assert result.report["rng"] == "pcg64"
+    assert run_trials(params, 3, 0)["rng"] == "pcg64"
     doc = result.to_dict()
     assert doc["pass"] is True
     assert doc["y"] == list(result.y)
@@ -243,7 +244,7 @@ def test_the_summary_records_the_request_as_ints(seed, trials):
     assert json.loads(json.dumps(summary)) == summary == run_trials(params, int(seed), int(trials))
     assert type(summary["seed"]) is int and type(summary["trials"]) is int
     assert summary["reports"][0]["seed"] == [summary["seed"], 0]
-    assert qcsa_roundtrip(params, summary["seed"]).report["seed"] == summary["seed"]
+    assert qcsa_roundtrip(params, summary["seed"]).seed == summary["seed"]
 
 
 def test_a_negative_single_trial_seed_is_named():

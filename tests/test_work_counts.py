@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qcsa import cli, codes, field, matrix, stream  # stream is otherwise loaded lazily
+from qcsa import cli, codes, field, matrix, scheme, stream  # stream is otherwise loaded lazily
 from qcsa.cli import main  # loads every other qcsa module
 
 QCSA_MODULES = [module for name, module in sys.modules.items()
@@ -98,6 +98,19 @@ def test_simulate_draws_a_block_without_per_trial_seed_work(tmp_path, monkeypatc
     assert main(argv) == 0
     assert len(words) <= 3
     assert capsys.readouterr().err.startswith("100/100 trials passed")
+
+
+def test_a_round_trip_builds_no_report(monkeypatch):
+    """A round trip keeps what it ran: only its to_dict encodes the params and costs."""
+    params = codes.QcsaParams.default(field.PrimeField(2**31 - 1), 12, 5)
+    system = scheme.build_qcsa_system(params)
+    to_dict = _count(monkeypatch, codes.QcsaParams, "to_dict")
+    costs = _count(monkeypatch, scheme, "trial_costs")
+    results = [scheme.qcsa_roundtrip(params, (7, t), system) for t in range(3)]
+    assert (len(to_dict), len(costs)) == (0, 0)
+    assert all(result.passed for result in results)
+    assert results[0].to_dict()["costs"]["downloaded_qudits"] == 12
+    assert (len(to_dict), len(costs)) == (1, 1)
 
 
 def test_the_parser_is_built_once_per_process(capsys):
