@@ -7,9 +7,9 @@ exact linear algebra (:mod:`qcsa.matrix`), GRS / CSA / QCSA constructions
 and the two-instance scheme simulator with rate accounting
 (:mod:`qcsa.scheme`).  Every value is a numpy int64 array of canonical
 residues mod p (a single residue is a plain int), and everything is
-exact.  Matrix products run on float64 BLAS and stay exact: operands are
-split into 16-bit limbs whenever one float64 product could round (see
-:mod:`qcsa.matrix`).
+exact.  Matrix products run on float64 BLAS and stay exact: the left
+operand splits into 11-, 11- and 9-bit limbs whenever one float64 product
+could round (see :mod:`qcsa.matrix`).
 """
 
 from .field import FieldMismatchError, PrimeField, is_prime, next_prime

@@ -319,7 +319,8 @@ def cmd_simulate(args) -> int:
 
     A row is ``json.dumps(report, sort_keys=True) + "\\n"`` of the trial's
     ``run_trials`` report, written from the block's arrays: ``params`` and
-    ``costs`` are encoded once, and ``y`` and ``expected`` by ``_int_rows``.
+    ``costs`` are encoded once, and ``expected`` by ``_int_rows``; a block
+    whose every trial passed writes that text as ``y`` too.
     """
     field = _field_from_args(args)
     params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
@@ -337,11 +338,12 @@ def cmd_simulate(args) -> int:
     passed, failure = 0, None
     with _output(args.out) as out:
         for block, y, expected, ok in blocks:
+            e_rows = _int_rows(expected.T)
+            y_rows = e_rows if ok.all() else _int_rows(y.T)  # equal arrays give equal text
             out.write("".join(
                 f'{head}{e_t}{middle}{"true" if ok_t else "false"}, "seed": [{args.seed}, {t}], '
                 f'"y": [{y_t}]}}\n'
-                for t, y_t, e_t, ok_t in zip(block, _int_rows(y.T), _int_rows(expected.T),
-                                             ok.tolist())
+                for t, y_t, e_t, ok_t in zip(block, y_rows, e_rows, ok.tolist())
             ))
             if failure is None and not ok.all():  # where the first failing y departs
                 j = int(np.argmin(ok))

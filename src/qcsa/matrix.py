@@ -7,12 +7,12 @@ entry a plain ``int``.
 
 Every product runs on float64 BLAS and stays exact.  A float64 sum of
 nonnegative integers is exact below 2**53, so when the inner dimension k
-satisfies k * (p-1)**2 < 2**53 one float64 product does.  Otherwise both
-operands split into 16-bit limbs (lo < 2**16, hi < 2**15, since moduli are
-capped at 2**31 - 1) and three float64 products, lo.lo, hi.hi and the
-cross term [lo hi].[hi; lo], are each exact while 2k * 2**32 < 2**53; k is
-chunked beyond that.  The limb sums are recombined in int64 as
-hh * (2**32 mod p) + cross * 2**16 + ll, with hh and cross reduced first.
+satisfies k * (p-1)**2 < 2**53 one float64 product does.  Otherwise only the
+left operand splits, into 11-, 11- and 9-bit limbs (p < 2**31) stacked as
+one 3m x k array; its float64 product with b, per inner chunk of c = 2**11
+columns, stays below c * 2**11 * p <= 2**53, and the row blocks recombine
+as r0 + (r1 mod p) * 2**11 + (r2 mod p) * 2**22 in int64.  ``_prepare``
+splits once what ``_apply`` multiplies, as the trial engine does C and M_Q.
 
 Inverse and rank share one Gauss-Jordan row reduction, a single unblocked
 pass with one rank-one update per pivot.  No command runs it on a valid
@@ -30,34 +30,39 @@ import numpy as np
 from .field import FieldMismatchError, PrimeField
 
 _F64_EXACT = 2**53
-_LIMB_BITS = 16
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-# Largest k with 2k * 2**32 < 2**53.
-_LIMB_CHUNK = 2**20 - 1
+_SPLIT_BITS = 11
+_SPLIT_CHUNK = 2**11  # the largest c with c * 2**11 * (p-1) <= 2**53 at p = 2**31 - 1
 
 
 class SingularMatrixError(ArithmeticError):
     """Square matrix with rank below its size; no inverse exists."""
 
 
+def _prepare(a: np.ndarray, p: int) -> np.ndarray:
+    """``_apply``'s float64 left operand: residues ``a`` themselves, or their limbs, 3m x k."""
+    if a.shape[1] * (p - 1) ** 2 < _F64_EXACT:
+        return a.astype(np.float64)
+    left = np.empty((3,) + a.shape)  # filled a limb at a time: one int64 temporary at a time
+    for i, limb in enumerate(left):
+        np.bitwise_and(a >> i * _SPLIT_BITS, (1 << _SPLIT_BITS) - 1, out=limb)
+    return left.reshape(-1, a.shape[1])
+
+
+def _apply(left: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact (a @ b) mod p for ``left = _prepare(a, p)`` and residues ``b``."""
+    inner = left.shape[1]
+    if inner * (p - 1) ** 2 < _F64_EXACT:
+        return np.matmul(left, b, dtype=np.float64).astype(np.int64) % p
+    m, c, bits, out = left.shape[0] // 3, _SPLIT_CHUNK, _SPLIT_BITS, 0
+    for k in range(0, inner, c):
+        r = np.matmul(left[:, k:k + c], b[k:k + c], dtype=np.float64).astype(np.int64)
+        out = (out + r[:m] + (r[m:2 * m] % p << bits) + (r[2 * m:] % p << 2 * bits)) % p
+    return out
+
+
 def _mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for residue arrays, on float64 BLAS products."""
-    inner = a.shape[1]
-    if inner * (p - 1) ** 2 < _F64_EXACT:
-        return np.matmul(a, b, dtype=np.float64).astype(np.int64) % p
-    out = 0
-    shift = pow(2, 2 * _LIMB_BITS, p)
-    for k in range(0, inner, _LIMB_CHUNK):
-        a_k, b_k = a[:, k:k + _LIMB_CHUNK], b[k:k + _LIMB_CHUNK]
-        width = a_k.shape[1]
-        lo_hi = np.concatenate((a_k & _LIMB_MASK, a_k >> _LIMB_BITS), axis=1).astype(np.float64)
-        hi_lo = np.concatenate((b_k >> _LIMB_BITS, b_k & _LIMB_MASK)).astype(np.float64)
-        # ll < k * 2**32 < 2**52 needs no reduction: the sum stays below 2**63.
-        ll = (lo_hi[:, :width] @ hi_lo[width:]).astype(np.int64)
-        hh = (lo_hi[:, width:] @ hi_lo[:width]).astype(np.int64) % p
-        cross = (lo_hi @ hi_lo).astype(np.int64) % p
-        out = (out + hh * shift + (cross << _LIMB_BITS) + ll) % p
-    return out
+    return _apply(_prepare(a, p), b, p)
 
 
 def _eliminate(a: np.ndarray, p: int, stop: int) -> list:
@@ -90,11 +95,14 @@ def _eliminate(a: np.ndarray, p: int, stop: int) -> list:
 
 
 def _integers(values) -> np.ndarray:
-    """``values`` as int64; a float, str or other non-integer entry is a TypeError, not cast."""
-    if np.asarray(values).dtype.kind not in "biu":
+    """``values`` as int64; a non-integer entry is a TypeError, one past int64 an OverflowError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
         for x in np.asarray(values, dtype=object).flat:
             if not isinstance(x, (int, np.integer)):
                 raise TypeError(f"entries must be integers, got {x!r}")
+    elif arr.dtype == np.uint64 and arr.size and int(arr.max()) >= 2**63:  # the cast would wrap
+        raise OverflowError(f"entries must fit in int64, got {int(arr.max())}")
     return np.asarray(values, dtype=np.int64)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .codes import ParameterError, QcsaParams, _csa_inverse, check_room, csa_matrix
 from .field import PrimeField
-from .matrix import FieldMatrix, _mod_matmul, as_residue_vector
+from .matrix import FieldMatrix, _apply, _mod_matmul, _prepare, as_residue_vector
 from .nsumbox import QcsaSystem, build_qcsa_system, selector_row_indices
 
 RNG_NAME = "pcg64"
@@ -105,10 +105,10 @@ class _TrialEngine:
     """One system's trial pipeline, with everything but the draws prepared once.
 
     Holds the draws of 2N symbols mod p (one seed's column, or a block's
-    2N x T stack), the CSA matrix C, the stacked multipliers [u; v] (checked
-    nonzero here), M_Q and the selector gather.  The products go to
-    ``_mod_matmul`` directly, whose exactness bounds hold only for canonical
-    residues, so every operand is reduced mod p first.
+    2N x T stack), the stacked multipliers [u; v] (checked nonzero here), the
+    selector gather, and C and M_Q, split once by ``matrix._prepare``.  ``run``
+    applies them with ``matrix._apply``, whose exactness bounds hold only for
+    canonical residues, so every right operand is reduced mod p first.
     """
 
     def __init__(self, system: QcsaSystem):
@@ -124,9 +124,9 @@ class _TrialEngine:
         self.p, self.n = field.p, n
         self.column = partial(column, p=field.p, count=2 * n)
         self.draws = partial(draws, p=field.p, count=2 * n)
-        self.csa = csa_matrix(field, params.alpha, params.f).array
+        self.csa = _prepare(csa_matrix(field, params.alpha, params.f).array, field.p)
         self.uv = uv[:, None]
-        self.m_q = system.box.M.array
+        self.m_q = _prepare(system.box.M.array, field.p)
         self.select = np.asarray(selector_row_indices(n, l)) - 1
 
     def run(self, symbols) -> tuple:
@@ -141,9 +141,9 @@ class _TrialEngine:
            output is the row gather S[selector_row_indices(N, L) - 1].
         """
         n, p, t = self.n, self.p, symbols.shape[1]
-        encoded = _mod_matmul(self.csa, np.concatenate([symbols[:n], symbols[n:]], axis=1), p)
+        encoded = _apply(self.csa, np.concatenate([symbols[:n], symbols[n:]], axis=1), p)
         answers = np.concatenate([encoded[:, :t], encoded[:, t:]])
-        y = _mod_matmul(self.m_q, self.uv * answers % p, p)
+        y = _apply(self.m_q, self.uv * answers % p, p)
         return answers, y, symbols[self.select]
 
 

@@ -256,6 +256,20 @@ def test_simulate_names_the_first_failing_trial(tmp_path, capsys, monkeypatch):
                        f"y[3] = {result.y[3]}, expected {result.expected[3]}")
 
 
+def test_a_failing_block_writes_the_y_it_got(tmp_path, monkeypatch):
+    # A passing block writes its expected text as y too; a failing one must not.
+    params, tampered = _tamper_with_m_q(monkeypatch)
+    out = tmp_path / "trials.jsonl"
+    assert run_cli("simulate", "--p", "13", "--N", "6", "--L", "2", "--seed", "8",
+                   "--trials", "20", "--out", str(out)) == 1
+    *rows, _ = map(json.loads, out.read_text().splitlines())
+    assert len(rows) == 20
+    for t, row in enumerate(rows):
+        result = qcsa_roundtrip(params, (8, t), tampered)
+        assert (row["y"], row["expected"], row["pass"]) == (
+            list(result.y), list(result.expected), result.passed), t
+
+
 # The writers in cli emit these layouts directly; json itself is the referee,
 # at sizes and in shapes the goldens above do not reach.
 def assert_same_text(got: str, want: str):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcsa import matrix
-from qcsa.codes import QcsaParams
+from qcsa.codes import QcsaParams, csa_matrix
 from qcsa.field import MAX_MODULUS, PrimeField
 from qcsa.matrix import FieldMatrix, SingularMatrixError, _mod_matmul, hstack, inverse_residues
 from qcsa.nsumbox import build_qcsa_system
@@ -116,14 +116,43 @@ def test_long_product_at_65521_crosses_the_float_bound(fill):
 
 @pytest.mark.parametrize("fill", ["max", "random"])
 def test_product_just_past_the_limb_chunk(fill):
-    p = MAX_MODULUS
-    inner = matrix._LIMB_CHUNK + 1
-    assert 2 * inner * 2**32 >= 2**53 > 2 * (inner - 1) * 2**32
-    a, b = operands(p, 1, inner, 1, np.random.default_rng(11), fill)
-    expected = exact_product(a, b, p)
-    if fill == "max":
-        assert expected == [[inner % p]]  # (p-1)**2 = 1 mod p
-    assert _mod_matmul(a, b, p).tolist() == expected
+    p, chunk = MAX_MODULUS, matrix._SPLIT_CHUNK
+    # Each limb is below 2**11, so a chunk's limb sums stay below chunk * 2**11 * (p-1).
+    assert (chunk + 1) * 2**11 * (p - 1) > 2**53 >= chunk * 2**11 * (p - 1)
+    rng = np.random.default_rng(11)
+    for inner in (chunk + 1, 2**20 + 1):  # two chunks, then many, the last of one column
+        a, b = operands(p, 1, inner, 1, rng, fill)
+        expected = exact_product(a, b, p)
+        if fill == "max":
+            assert expected == [[inner % p]]  # (p-1)**2 = 1 mod p
+        assert _mod_matmul(a, b, p).tolist() == expected, inner
+
+
+@pytest.mark.parametrize("fill", ["max", "odd", "random"])
+def test_product_at_the_split_chunk(fill):
+    p, chunk = MAX_MODULUS, matrix._SPLIT_CHUNK
+    rng = np.random.default_rng(13)
+    for inner in (chunk - 1, chunk, chunk + 1, 2 * chunk):
+        a, b = operands(p, 3, inner, 2, rng, fill)
+        assert _mod_matmul(a, b, p).tolist() == exact_product(a, b, p), inner
+
+
+# L = N // 4; N = 255 does not fit in GF(101), since N + L > p.
+SYSTEM_CASES = [(n, p) for n in (12, 64, 255) for p in (101, 65521, MAX_MODULUS)
+                if n + n // 4 <= p]
+
+
+@pytest.mark.parametrize("n,p", SYSTEM_CASES)
+def test_prepared_operands_match_the_int64_kernel(n, p):
+    """The trial engine's C and M_Q, prepared once, against the int64 referee."""
+    params = QcsaParams.default(PrimeField(p), n, n // 4)
+    system = build_qcsa_system(params)
+    rng = np.random.default_rng(n + p)
+    for a in (csa_matrix(params.field, params.alpha, params.f).array, system.box.M.array):
+        left = matrix._prepare(a, p)
+        for b in (rng.integers(0, p, size=(a.shape[1], 37)),
+                  np.full((a.shape[1], 3), p - 1, dtype=np.int64)):
+            assert np.array_equal(matrix._apply(left, b, p), int64_matmul(a, b, p)), a.shape
 
 
 @pytest.mark.parametrize("p", PRIMES)

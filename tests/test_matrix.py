@@ -71,7 +71,7 @@ def test_matmul_matches_oracle_on_random_inputs():
 
 def test_matmul_large_modulus_chunking():
     # at 2**31 - 1 a single product leaves float64's exact range, so this
-    # runs the 16-bit limb split
+    # runs the split of the left operand into limbs
     field = PrimeField(2**31 - 1)
     rng = np.random.default_rng(3)
     a = FieldMatrix(field, rng.integers(0, field.p, size=(4, 40)))

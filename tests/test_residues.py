@@ -165,6 +165,24 @@ def test_int64_arrays_read_like_int_lists(values, lo, hi):
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize("values", [[2**63, 2**64 - 1],
+                                    np.array([2**63, 2**64 - 1], dtype=np.uint64),
+                                    np.array([3, 2**63], dtype=np.uint64)])
+def test_entries_past_int64_overflow(values):
+    # A uint64 array once went through numpy's unsafe int64 cast, which wraps
+    # 2**63 to -2**63: [2**63, 2**64 - 1] read as [5, 12] mod 13.
+    with pytest.raises(OverflowError):
+        as_residue_vector(PrimeField(13), values)
+    with pytest.raises(OverflowError):
+        FieldMatrix(PrimeField(13), np.reshape(values, (1, -1)))
+
+
+def test_uint64_entries_within_int64_read_as_ints():
+    values = [0, 12, 13, 2**63 - 1]
+    got = as_residue_vector(PrimeField(13), np.array(values, dtype=np.uint64))
+    assert got.dtype == np.int64 and got.tolist() == [x % 13 for x in values]
+
+
 def test_int64_arrays_are_copied():
     values = np.arange(4, dtype=np.int64)
     got = json_ints(values, "k", 0, 7)
