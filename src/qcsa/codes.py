@@ -10,7 +10,7 @@ pairing the channel construction needs.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -125,20 +125,6 @@ def _validate_points(field: PrimeField, alpha, f) -> tuple:
     return a, ff
 
 
-# Matrices are immutable, so caching them is safe.  One build or verify asks
-# for C several times (Qu, Qv, C^{-1}), and classical_decode loops ask for
-# C^{-1} over and over.  _csa_inverse reads this cache directly: its alpha
-# and f come from a QcsaParams, which has validated them.
-@lru_cache(maxsize=512)
-def _csa_cached(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
-    field, n, l = PrimeField(p), len(alpha), len(f)
-    out = np.zeros((n, n), dtype=np.int64)
-    diffs = np.array(f, dtype=np.int64)[None, :] - np.array(alpha, dtype=np.int64)[:, None]
-    out[:, :l] = inverse_residues(diffs, p)
-    out[:, l:] = grs_generator(GrsSpec(field, n, n - l, alpha, (1,) * n)).array
-    return FieldMatrix(field, out)
-
-
 def csa_matrix(field: PrimeField, alpha, f) -> FieldMatrix:
     """The N x N Cauchy-Vandermonde matrix of a classical CSA scheme.
 
@@ -147,13 +133,17 @@ def csa_matrix(field: PrimeField, alpha, f) -> FieldMatrix:
     invertible.  Any 1 <= L <= N-1 is accepted here; the tighter L <= N/2
     restriction only applies on the channel-construction path.
     """
-    a, ff = _validate_points(field, alpha, f)
-    return _csa_cached(field.p, a, ff)
+    alpha, f = _validate_points(field, alpha, f)
+    n, l = len(alpha), len(f)
+    out = np.zeros((n, n), dtype=np.int64)
+    diffs = np.array(f, dtype=np.int64)[None, :] - np.array(alpha, dtype=np.int64)[:, None]
+    out[:, :l] = inverse_residues(diffs, field.p)
+    out[:, l:] = grs_generator(GrsSpec(field, n, n - l, alpha, (1,) * n)).array
+    return FieldMatrix(field, out)
 
 
-@lru_cache(maxsize=256)
-def _csa_inverse(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
-    """The N x N inverse of C that classical decoding and M_Q share, in closed form.
+def _csa_inverse(csa: FieldMatrix, alpha: tuple, f: tuple) -> FieldMatrix:
+    """The N x N inverse of the CSA matrix ``csa`` of (alpha, f), in closed form.
 
     With K = C[:, :L] and V = C[:, L:], C^{-1} = [-Diag(s) K^T ; J T V^T] Diag(c)
     (Finck, Heinig & Rost, Linear Algebra Appl. 183, 1993), where
@@ -162,8 +152,7 @@ def _csa_inverse(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
     lower-triangular Toeplitz matrix of the first N - L coefficients of the
     series prod_m (1 - alpha_m x) / prod_j (1 - f_j x), and J reverses rows.
     """
-    csa = _csa_cached(p, alpha, f).array
-    n, l = len(alpha), len(f)
+    p, n, l = csa.field.p, len(alpha), len(f)
     # For each point z_i of alpha then f: prod (z_i - alpha_m) and prod (z_i - f_j),
     # each without the factor z_i - z_i.
     z = np.array(alpha + f, dtype=np.int64)
@@ -184,7 +173,7 @@ def _csa_inverse(p: int, alpha: tuple, f: tuple) -> FieldMatrix:
     for k, e in enumerate(num.tolist()):
         g.append((e - sum(map(mul, den, reversed(g[max(0, k - l):])))) % p)
         row = tail[n - l - 1 - k] = (g[-1] + z[:n] * row) % p
-    return FieldMatrix(PrimeField(p), np.vstack([-s[:, None] * csa[:, :l].T % p, tail]) * c)
+    return FieldMatrix(csa.field, np.vstack([-s[:, None] * csa.array[:, :l].T % p, tail]) * c)
 
 
 @dataclass(frozen=True)
@@ -250,6 +239,16 @@ class QcsaParams:
     def with_beta(self, beta) -> "QcsaParams":
         return replace(self, beta=_canonical(self.field, beta))
 
+    @cached_property
+    def csa(self) -> FieldMatrix:
+        """The CSA matrix C of (alpha, f), built on first use and kept with these parameters."""
+        return csa_matrix(self.field, self.alpha, self.f)
+
+    @cached_property
+    def csa_inverse(self) -> FieldMatrix:
+        """C^{-1}, which classical decoding and M_Q share, built on first use and kept."""
+        return _csa_inverse(self.csa, self.alpha, self.f)
+
     @property
     def half_ceil(self) -> int:
         return (self.N + 1) // 2
@@ -277,7 +276,7 @@ class QcsaParams:
 
 
 def qcsa_matrix(params: QcsaParams) -> FieldMatrix:
-    """The N x N QCSA matrix Diag(beta) @ C, for the cached CSA matrix C.
+    """The N x N QCSA matrix Diag(beta) @ C, for the CSA matrix C of ``params``.
 
     Column layout: L Cauchy columns beta_n/(f_j - alpha_n), then N - L
     scaled Vandermonde columns beta_n * alpha_n**t.  The first ceil(N/2) of
@@ -285,7 +284,7 @@ def qcsa_matrix(params: QcsaParams) -> FieldMatrix:
     code on (alpha, beta).  Row-scaling an invertible Cauchy-Vandermonde
     matrix by nonzero beta keeps it invertible.
     """
-    return csa_matrix(params.field, params.alpha, params.f).scale_rows(params.beta)
+    return params.csa.scale_rows(params.beta)
 
 
 def _check_qcsa_shape(q: FieldMatrix, params: QcsaParams) -> None:

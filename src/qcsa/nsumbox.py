@@ -42,7 +42,6 @@ import numpy as np
 from .codes import (
     ParameterError,
     QcsaParams,
-    _csa_inverse,
     dual_multipliers,
     qcsa_grs_submatrix,
     qcsa_matrix,
@@ -294,13 +293,11 @@ def build_qcsa_system(params: QcsaParams) -> QcsaSystem:
     """
     n, l, p = params.N, params.L, params.field.p
     v = dual_multipliers(params.field, params.alpha, params.beta)
-    qu = qcsa_matrix(params)
-    qv = qcsa_matrix(params.with_beta(v))
+    qu, qv = qcsa_matrix(params), params.csa.scale_rows(v)
     pi = gh_column_permutation(n, l)
     layout = [i - 1 for i in pi.image]
     gh = block_diag([qu, qv]).take_columns(layout)
-    c_inv = _csa_inverse(p, params.alpha, params.f)
-    m = block_diag([c_inv.scale_columns([pow(x, -1, p) for x in w])
+    m = block_diag([params.csa_inverse.scale_columns([pow(x, -1, p) for x in w])
                     for w in (params.beta, v)]).take_rows(layout[n:])
     return QcsaSystem(params, v, qu, qv, NSumBox(params.field, n, m, gh[:, :n], gh[:, n:], pi))
 
@@ -331,7 +328,7 @@ def _pair_checks(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams, v: tuple)
     gamma_bot = qcsa_grs_submatrix(qv, params, params.half_floor)
     return {
         "qu_matches_params": qu == qcsa_matrix(params),
-        "qv_matches_dual": qv == qcsa_matrix(params.with_beta(v)),
+        "qv_matches_dual": qv == params.csa.scale_rows(v),
         "grs_duality": (gamma_top.T @ gamma_bot).is_zero(),
     }
 

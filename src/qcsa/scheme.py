@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .codes import ParameterError, QcsaParams, _csa_inverse, check_room, csa_matrix
+from .codes import ParameterError, QcsaParams, check_room
 from .field import PrimeField
 from .matrix import FieldMatrix, _apply, _mod_matmul, _prepare, as_residue_vector
 from .nsumbox import QcsaSystem, build_qcsa_system, selector_row_indices
@@ -66,7 +66,7 @@ class SchemeInstance:
     def from_symbols(cls, params: QcsaParams, index: int, delta, nu) -> "SchemeInstance":
         d = tuple(as_residue_vector(params.field, delta, params.L).tolist())
         v = tuple(as_residue_vector(params.field, nu, params.N - params.L).tolist())
-        answers = csa_matrix(params.field, params.alpha, params.f).matvec(d + v)
+        answers = params.csa.matvec(d + v)
         return cls(index, d, v, tuple(answers.tolist()))
 
 
@@ -85,9 +85,8 @@ def classical_decode(answers, params: QcsaParams) -> np.ndarray:
     arr = np.asarray(answers)
     if arr.ndim not in (1, 2) or arr.shape[0] != params.N:
         raise ValueError(f"answers must be length {params.N} or {params.N} x T, got {arr.shape}")
-    inv = _csa_inverse(params.field.p, params.alpha, params.f).array
     stack = FieldMatrix(params.field, arr.reshape(params.N, -1)).array
-    return _mod_matmul(inv, stack, params.field.p).reshape(arr.shape)
+    return _mod_matmul(params.csa_inverse.array, stack, params.field.p).reshape(arr.shape)
 
 
 def server_scale(field: PrimeField, a1, a2, u, v) -> np.ndarray:
@@ -124,7 +123,7 @@ class _TrialEngine:
         self.p, self.n = field.p, n
         self.column = partial(column, p=field.p, count=2 * n)
         self.draws = partial(draws, p=field.p, count=2 * n)
-        self.csa = _prepare(csa_matrix(field, params.alpha, params.f).array, field.p)
+        self.csa = _prepare(params.csa.array, field.p)
         self.uv = uv[:, None]
         self.m_q = _prepare(system.box.M.array, field.p)
         self.select = np.asarray(selector_row_indices(n, l)) - 1

@@ -7,7 +7,6 @@ from qcsa.codes import (
     GrsSpec,
     ParameterError,
     QcsaParams,
-    _csa_cached,
     _csa_inverse,
     csa_matrix,
     dual_multipliers,
@@ -111,8 +110,8 @@ def test_csa_matrix_matches_entry_formula_and_is_invertible():
 
 def _check_closed_form_inverse(p, alpha, f):
     """The closed-form C^{-1} against Gauss-Jordan, and for N <= 4 the adjugate."""
-    inv = _csa_inverse(p, tuple(alpha), tuple(f))
-    c = _csa_cached(p, tuple(alpha), tuple(f))
+    c = csa_matrix(PrimeField(p), alpha, f)
+    inv = _csa_inverse(c, tuple(alpha), tuple(f))
     assert inv == c.inverse(), (p, alpha, f)
     if len(alpha) <= 4:
         assert inv.array.tolist() == adjugate_inverse(c.array.tolist(), p), (p, alpha, f)

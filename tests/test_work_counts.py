@@ -2,11 +2,15 @@
 
 Before each command the program's ``lru_cache`` tables are cleared, as
 ``perfbench/run.py`` clears them, so every count is that of a fresh
-process.  The point is N = 12, L = 5, p = 2^31 - 1.
+process.  The point is N = 12, L = 5, p = 2^31 - 1.  C and C^{-1} live
+with their ``QcsaParams``, so dropped parameters take them along.
 """
 
+import gc
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from qcsa import cli, codes, field, matrix, scheme, stream  # stream is otherwise loaded lazily
@@ -65,12 +69,49 @@ def bundle(tmp_path):
 
 
 def test_construct_derives_v_and_the_pair_once(tmp_path, monkeypatch):
+    """v once, and Qu and Qv both from the one C."""
     _clear_caches()
     duals = _count(monkeypatch, codes, "dual_multipliers")
-    pairs = _count(monkeypatch, codes, "qcsa_matrix")
+    csa = _count(monkeypatch, codes, "csa_matrix")
     rounds = _primality_tests(monkeypatch)
     assert main(["construct", *POINT, "--out", str(tmp_path / "b.json")]) == 0
-    assert (len(duals), len(pairs), len(rounds) / len(field._MR_BASES)) == (1, 2, 1)
+    assert (len(duals), len(csa), len(rounds) / len(field._MR_BASES)) == (1, 1, 1)
+
+
+def test_each_command_builds_c_once_and_its_inverse_at_most_once(bundle, tmp_path,
+                                                                 monkeypatch, capsys):
+    csa = _count(monkeypatch, codes, "csa_matrix")
+    inverses = _count(monkeypatch, codes, "_csa_inverse")
+    counts = {}
+    for argv in (["construct", *POINT, "--out", str(tmp_path / "b.json")],
+                 ["verify", str(bundle)],
+                 ["simulate", *POINT, "--trials", "100", "--out", str(tmp_path / "t.jsonl")]):
+        _clear_caches()
+        assert main(argv) == 0
+        counts[argv[0]] = (len(csa), len(inverses))
+        csa.clear()
+        inverses.clear()
+    assert counts == {"construct": (1, 1), "verify": (1, 0), "simulate": (1, 1)}
+    assert capsys.readouterr().out.endswith("14/14 checks passed\n")
+
+
+def test_dropped_parameters_take_their_matrices_with_them():
+    """No table outlives a system: 20 dropped N = 128 builds leave under 1 MB traced."""
+    gf = field.PrimeField(65521)
+    rng = np.random.default_rng(22)
+    scheme.build_qcsa_system(codes.QcsaParams.random(gf, 128, 32, rng))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            system = scheme.build_qcsa_system(codes.QcsaParams.random(gf, 128, 32, rng))
+            system._trial_engine.run(np.ones((256, 1), dtype=np.int64))
+            del system
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000, kept
 
 
 def test_verify_tests_the_modulus_once(bundle, monkeypatch, capsys):
