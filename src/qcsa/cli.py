@@ -24,7 +24,6 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 
@@ -132,7 +131,6 @@ def _json_document(value):
     yield "\n"
 
 
-@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcsa",
@@ -140,32 +138,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_param_flags(p, with_beta=True):
+    def add_point_flags(p):
         p.add_argument("--p", type=int, required=True, help="prime field modulus")
         p.add_argument("--N", type=int, required=True, help="number of servers")
         p.add_argument("--L", type=int, required=True, help="desired symbols per instance")
         p.add_argument("--alpha", type=_int_list, help="N evaluation points (comma-separated)")
         p.add_argument("--f", type=_int_list, help="L desired-symbol points (comma-separated)")
         p.add_argument("--u", type=_int_list, help="N nonzero multipliers (default: all ones)")
-        if with_beta:
-            p.add_argument("--beta", type=_int_list,
-                           help="extra multipliers; construct also emits the QCSA matrix for them")
 
     con = sub.add_parser("construct", help="build a channel bundle and write it as JSON")
-    add_param_flags(con)
+    con.set_defaults(run=cmd_construct)
+    add_point_flags(con)
+    con.add_argument("--beta", type=_int_list,
+                     help="extra multipliers; construct also emits the QCSA matrix for them")
     con.add_argument("--seed", type=int, default=DEFAULT_SEED, help="recorded in the bundle")
     con.add_argument("--out", help="output file (default: stdout)")
 
     ver = sub.add_parser("verify", help="re-check every invariant of a bundle file")
+    ver.set_defaults(run=cmd_verify)
     ver.add_argument("path", help="bundle file produced by construct")
 
     sim = sub.add_parser("simulate", help="run seeded end-to-end trials")
-    add_param_flags(sim, with_beta=False)
+    sim.set_defaults(run=cmd_simulate)
+    add_point_flags(sim)
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sim.add_argument("--trials", type=int, default=100)
     sim.add_argument("--out", help="trial reports as JSON lines (default: stdout)")
 
     rat = sub.add_parser("rates", help="exact rate table over an (N, L) grid")
+    rat.set_defaults(run=cmd_rates)
     rat.add_argument("--N", type=_int_range, required=True, help="N or A:B (inclusive)")
     rat.add_argument("--L", type=_int_range, help="L or A:B filter (default: all 1 <= L < N)")
     rat.add_argument("--out", help="output file (default: stdout)")
@@ -410,14 +411,6 @@ def cmd_rates(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "rates": cmd_rates,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -425,7 +418,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except ParameterError as exc:
         print(f"error: invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -792,6 +792,15 @@ def test_simulate_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_negative_residues_given_with_equals_canonicalize(tmp_path):
+    # "--alpha -1,..." reads as a flag, so README asks for "--alpha=-1,...".
+    negative, residues = tmp_path / "negative.jsonl", tmp_path / "residues.jsonl"
+    args = ("simulate", "--p", "13", "--N", "4", "--L", "2", "--trials", "5")
+    assert run_cli(*args, "--alpha=-1,-2,-3,-4", "--out", str(negative)) == 0
+    assert run_cli(*args, "--alpha", "12,11,10,9", "--out", str(residues)) == 0
+    assert negative.read_bytes() == residues.read_bytes()
+
+
 def test_rates_table_csv(tmp_path):
     out = tmp_path / "rates.csv"
     rc = run_cli("rates", "--N", "2:6", "--out", str(out))
@@ -900,31 +909,41 @@ def test_module_entry_point():
     assert "1/4" in proc.stdout
 
 
-def _loads_numpy_random(code: str) -> bool:
-    """Whether a fresh interpreter has numpy.random loaded after running ``code``."""
+def _loads(module: str, code: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after running ``code``."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys; {code}; print('numpy.random' in sys.modules)"],
+        [sys.executable, "-c", f"import sys; {code}; print({module!r} in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout == "True\n"
+    return proc.stdout.splitlines()[-1] == "True"  # after what the commands printed
 
 
 def test_import_leaves_numpy_random_unloaded():
     """No command should pay for importing numpy.random."""
-    if _loads_numpy_random("import numpy"):
+    if _loads("numpy.random", "import numpy"):
         pytest.skip("this numpy imports numpy.random itself")
-    assert not _loads_numpy_random("import qcsa.cli")
+    assert not _loads("numpy.random", "import qcsa.cli")
 
 
 def test_simulate_leaves_numpy_random_unloaded(tmp_path):
     """simulate replays its streams itself (qcsa.stream), without numpy.random."""
-    if _loads_numpy_random("import numpy"):
+    if _loads("numpy.random", "import numpy"):
         pytest.skip("this numpy imports numpy.random itself")
     out = tmp_path / "trials.jsonl"
     argv = ["simulate", "--p", "101", "--N", "6", "--L", "2", "--trials", "300", "--out", str(out)]
-    assert not _loads_numpy_random(f"import qcsa.cli; qcsa.cli.main({argv!r})")
+    assert not _loads("numpy.random", f"import qcsa.cli; qcsa.cli.main({argv!r})")
     assert len(out.read_text().splitlines()) == 301
+
+
+@pytest.mark.parametrize("commands", [0, 2], ids=["import", "construct-verify"])
+def test_construct_and_verify_leave_qcsa_stream_unloaded(tmp_path, commands):
+    """Only simulate's trial engine imports qcsa.stream, so the other commands do not pay for it."""
+    bundle = str(tmp_path / "bundle.json")
+    argvs = [["construct", "--p", "101", "--N", "6", "--L", "2", "--out", bundle],
+             ["verify", bundle]][:commands]
+    code = "import qcsa.cli" + "".join(f"; assert qcsa.cli.main({argv!r}) == 0" for argv in argvs)
+    assert not _loads("qcsa.stream", code)
 
 
 def test_usage_errors_exit_2():
@@ -932,9 +951,52 @@ def test_usage_errors_exit_2():
     assert run_cli("nonsense") == 2
 
 
+COMMAND_HELP = {
+    "construct": "build a channel bundle and write it as JSON",
+    "verify": "re-check every invariant of a bundle file",
+    "simulate": "run seeded end-to-end trials",
+    "rates": "exact rate table over an (N, L) grid",
+}
+COMMAND_FLAGS = {
+    "construct": ["--p", "--N", "--L", "--alpha", "--f", "--u", "--beta", "--seed", "--out"],
+    "verify": ["path"],
+    "simulate": ["--p", "--N", "--L", "--alpha", "--f", "--u", "--seed", "--trials", "--out"],
+    "rates": ["--N", "--L", "--out", "--format"],
+}
+
+
+def _help(capsys, monkeypatch, *argv) -> list:
+    """The lines ``qcsa *argv`` prints at 80 columns.
+
+    Argparse lays help out differently between Python versions, so the help
+    tests check which names appear and in what order, not the whole text.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(*argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out.splitlines()
+
+
+def test_help_lists_each_command_with_its_help(capsys, monkeypatch):
+    entries = [line.split(None, 1) for line in _help(capsys, monkeypatch, "-h")
+               if line.startswith("    ")]
+    assert entries == [[name, text] for name, text in COMMAND_HELP.items()]
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_command_help_lists_its_flags_in_order(capsys, monkeypatch, command):
+    # An argument's entry starts two spaces in; a wrapped line starts further in.
+    names = [line.split()[0] for line in _help(capsys, monkeypatch, command, "-h")
+             if line.startswith("  ") and not line.startswith("   ")]
+    assert "-h," in names
+    assert [name for name in names if name != "-h,"] == COMMAND_FLAGS[command]
+
+
 SIMULATE = ("simulate", "--p", "13", "--N", "4", "--L", "2")
 # The last stderr line of each bad argument list; argparse prints its usage first.
 BAD_ARGUMENTS = {
+    "no-command": ((), "qcsa: error: the following arguments are required: command"),
     "rates-N-1": (("rates", "--N", "1"), "error: invalid parameters: need N >= 2, got 1"),
     "alpha-not-int": (("construct", "--p", "13", "--N", "4", "--L", "2", "--alpha", "1,x"),
                       "qcsa construct: error: argument --alpha: "
@@ -957,7 +1019,7 @@ def test_bad_arguments_exit_2_and_say_why(capsys, argv, last_line):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == "" and captured.err.endswith("\n") and lines[-1] == last_line
-    assert len(lines) == 1 or lines[0].startswith(f"usage: qcsa {argv[0]} ")
+    assert len(lines) == 1 or lines[0].startswith(" ".join(["usage: qcsa", *argv[:1], ""]))
 
 
 HUGE = str(10**20)  # past 2**63

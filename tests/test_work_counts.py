@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcsa import cli, codes, field, matrix, scheme, stream  # stream is otherwise loaded lazily
+from qcsa import codes, field, matrix, scheme, stream  # stream is otherwise loaded lazily
 from qcsa.cli import main  # loads every other qcsa module
 
 QCSA_MODULES = [module for name, module in sys.modules.items()
@@ -152,13 +152,6 @@ def test_a_round_trip_builds_no_report(monkeypatch):
     assert all(result.passed for result in results)
     assert results[0].to_dict()["costs"]["downloaded_qudits"] == 12
     assert (len(to_dict), len(costs)) == (1, 1)
-
-
-def test_the_parser_is_built_once_per_process(capsys):
-    cli._build_parser.cache_clear()
-    assert main(["rates", "--N", "4"]) == 0
-    assert main(["rates", "--N", "5"]) == 0
-    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_no_command_eliminates(bundle, tmp_path, monkeypatch, capsys):
