@@ -394,7 +394,9 @@ def verify_system(system: QcsaSystem) -> dict:
     layout = _layout(n, l)
     cols = np.array(layout) - 1
     tail = {"pi_present": box.pi is not None}
-    if tail["pi_present"]:
+    if tail["pi_present"]:  # a box of the wrong shape fails both, with no product
+        tail["gh_is_permuted_blockdiag"] = tail["selector_identity"] = False
+    if tail["pi_present"] and _shapes(box):
         gathered = block_diag([system.qu, system.qv]).take_columns(np.array(box.pi.image) - 1)
         tail["gh_is_permuted_blockdiag"] = hstack([box.G, box.H]) == gathered
         # W = M Block-Diag(Qu, Qv) = [M_left Qu | M_right Qv], without the
@@ -405,10 +407,8 @@ def verify_system(system: QcsaSystem) -> dict:
         inverts = w.take_columns(cols[n:]) == FieldMatrix.identity(field, n)
         tail["selector_identity"] = annihilates and inverts
     premise = (
-        _shapes(box)
-        and tail["pi_present"]
+        tail.get("gh_is_permuted_blockdiag", False)
         and box.pi.image == layout
-        and tail["gh_is_permuted_blockdiag"]
         and checks["qu_matches_params"]
         and checks["qv_matches_dual"]
     )

@@ -26,8 +26,8 @@ draws one seed's stream in Python ints, and :func:`draws` the streams
 
 A block hashes as one array, so its t must not cross 2^32, where t gains
 a word; ``trial_blocks``' blocks start at multiples of ``TRIAL_BLOCK``,
-which divides 2^32.  A column with a rejected draw is replayed by
-:func:`column`, since its later draws shift.
+which divides 2^32.  A column with a rejected draw is replayed in Python
+ints by ``_column``, from the block's own halves, since its later draws shift.
 """
 
 import operator
@@ -131,15 +131,11 @@ def pcg64_halves(w) -> tuple:
             (seq_hi << 1 | seq_lo >> 63) & M64, (seq_lo << 1 | 1) & M64)
 
 
-def pcg64_state(seed) -> tuple:
-    """(state, inc) of ``PCG64(seed)`` before its first output, as 128-bit ints."""
-    init_hi, init_lo, inc_hi, inc_lo = pcg64_halves(seed_words(entropy_words(seed)))
-    initstate, inc = init_hi << 64 | init_lo, inc_hi << 64 | inc_lo
-    return ((initstate + inc) * PCG_MULT + inc) & M128, inc
-
-
-def _column(state: int, inc: int, p: int, count: int) -> list:
-    """``integers(0, p, size=count)`` from PCG64 at (state, inc), 2 <= p < 2^32, in Python ints."""
+def _column(halves, p: int, count: int) -> list:
+    """``integers(0, p, size=count)`` from ``pcg64_halves``' ints, 2 <= p < 2^32, in Python ints."""
+    init_hi, init_lo, inc_hi, inc_lo = halves
+    inc = inc_hi << 64 | inc_lo
+    state = (((init_hi << 64 | init_lo) + inc) * PCG_MULT + inc) & M128  # PCG64's seeding
     threshold = ((1 << 32) - p) % p
     out = []
     while len(out) < count:
@@ -156,7 +152,7 @@ def _column(state: int, inc: int, p: int, count: int) -> list:
 
 def column(seed, p: int, count: int) -> list:
     """``default_rng(seed).integers(0, p, size=count)`` as a list of ints, 2 <= p < 2^32."""
-    return _column(*pcg64_state(seed), p, count)
+    return _column(pcg64_halves(seed_words(entropy_words(seed))), p, count)
 
 
 @lru_cache(maxsize=64)
@@ -216,7 +212,8 @@ def draws(seed: int, trials: range, p: int, count: int) -> np.ndarray:
         raise ValueError(f"{trials} crosses 2^32, where t gains an entropy word")
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     words = seed_words(base + [t >> 32 * i & M32 for i in range(t_words)])
-    out, rejected = _vector_draws(pcg64_halves(words), p, count)
-    for j in np.flatnonzero(rejected).tolist():
-        out[:, j] = column((seed, trials[j]), p, count)
+    halves = pcg64_halves(words)
+    out, rejected = _vector_draws(halves, p, count)
+    for j in np.flatnonzero(rejected).tolist():  # int(): a uint64 scalar wraps in << 64
+        out[:, j] = _column([int(h[j]) for h in halves], p, count)
     return out

@@ -307,6 +307,20 @@ def test_verify_detects_tampering():
     assert not checks["g_rank"]
 
 
+@pytest.mark.parametrize("name,shape", [("M", (4, 7)), ("G", (7, 4)), ("H", (7, 4))])
+def test_a_box_of_the_wrong_shape_fails_without_raising(name, shape):
+    # verify_system once multiplied or stacked such a box and raised ValueError.
+    system = build_qcsa_system(QcsaParams.default(GF13, 4, 2))
+    box = replace(system.box, **{name: FieldMatrix(GF13, np.ones(shape, dtype=np.int64))})
+    assert verify_box(box) == {"shapes": False}
+    checks = verify_system(replace(system, box=box))
+    assert list(checks.items()) == [
+        ("dual_multipliers", True), ("qu_matches_params", True), ("qv_matches_dual", True),
+        ("grs_duality", True), ("shapes", False), ("pi_present", True),
+        ("gh_is_permuted_blockdiag", False), ("selector_identity", False),
+    ]
+
+
 def test_box_serialization_round_trip():
     system = build_qcsa_system(QcsaParams.default(GF13, 5, 2))
     system2 = QcsaSystem.from_dict(system.to_dict())

@@ -71,8 +71,11 @@ def test_seed_words_and_pcg64_state_match_numpy(seed):
     w = stream.seed_words(stream.entropy_words(seed))
     state = np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
     assert [w[2 * k] | w[2 * k + 1] << 32 for k in range(4)] == state
+    init_hi, init_lo, inc_hi, inc_lo = stream.pcg64_halves(w)
+    initstate, inc = from_limbs((init_hi, init_lo)), from_limbs((inc_hi, inc_lo))
     pcg = np.random.PCG64(seed).state["state"]
-    assert stream.pcg64_state(seed) == (pcg["state"], pcg["inc"])
+    assert inc == pcg["inc"]
+    assert ((initstate + inc) * stream.PCG_MULT + inc) % 2**128 == pcg["state"]
 
 
 @pytest.mark.parametrize("seeds", BLOCKS.values(), ids=BLOCKS.keys())
@@ -145,6 +148,19 @@ def test_rejected_columns_leave_the_array_path():
     assert not rejected.any()
 
 
+def test_a_rejecting_block_is_hashed_once_and_replayed_from_its_halves(monkeypatch):
+    """At 2^30 + 3 every column of a 24-draw block rejects a draw, and none is re-hashed."""
+    halves = stream.pcg64_halves(stream.seed_words(block_words([(11, t) for t in range(256)])))
+    assert stream._vector_draws(halves, 2**30 + 3, 24)[1].all()
+    hashes, columns = [], []
+    seed_words = stream.seed_words
+    monkeypatch.setattr(stream, "seed_words", lambda words: hashes.append(1) or seed_words(words))
+    monkeypatch.setattr(stream, "column", lambda *args: columns.append(args))
+    got = stream.draws(11, range(256), 2**30 + 3, 24)
+    assert (len(hashes), columns) == (1, [])
+    assert got[:, 255].tolist() == referee((11, 255), 2**30 + 3, 24)
+
+
 @pytest.mark.parametrize("p", [3, 101, 65521, 2**30 + 3, 1431655777, 2**31 - 1])
 def test_lemire_keeps_a_draw_on_the_threshold_and_rejects_one_below(p):
     """States solved for so that the first output's halves land on the boundary.
@@ -160,19 +176,19 @@ def test_lemire_keeps_a_draw_on_the_threshold_and_rejects_one_below(p):
     high = (1 << 32) - 1  # (2^32 - 1) p mod 2^32 = 2^32 - p, far above the threshold
     states = [((high << 32 | on) - inc) * pow(a, -1, 1 << 128) & m128,
               ((below << 32 | on) - inc) * pow(a, -1, 1 << 128) & m128]
+    # Both paths start from initstate: state = a initstate + (1 + a) inc.
+    halves = [np.array([v >> shift & (1 << 64) - 1 for v in values], dtype=np.uint64)
+              for values in ([(s - (1 + a) * inc) * pow(a, -1, 1 << 128) & m128 for s in states],
+                             [inc, inc])
+              for shift in (64, 0)]
     expected = []
-    for state in states:
+    for j, state in enumerate(states):
         bits = np.random.PCG64()
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
         expected.append(np.random.Generator(bits).integers(0, p, size=6).tolist())
         assert expected[-1][0] == on * p >> 32
-        assert stream._column(state, inc, p, 6) == expected[-1]
-    # The array path starts from initstate: state = a initstate + (1 + a) inc.
-    halves = [np.array([v >> shift & (1 << 64) - 1 for v in values], dtype=np.uint64)
-              for values in ([(s - (1 + a) * inc) * pow(a, -1, 1 << 128) & m128 for s in states],
-                             [inc, inc])
-              for shift in (64, 0)]
+        assert stream._column([int(h[j]) for h in halves], p, 6) == expected[-1]
     got, rejected = stream._vector_draws(halves, p, 2)
     assert rejected.tolist() == [False, True]
     assert got[:, 0].tolist() == expected[0][:2]

@@ -9,7 +9,7 @@ from qcsa import scheme
 from qcsa.codes import ParameterError, QcsaParams, csa_matrix
 from qcsa.field import PrimeField
 from qcsa.matrix import FieldMatrix, block_diag
-from qcsa.nsumbox import build_qcsa_system
+from qcsa.nsumbox import QcsaSystem, build_qcsa_system
 from qcsa.scheme import (
     SchemeInstance,
     classical_decode,
@@ -231,7 +231,21 @@ def test_trial_blocks_checks_its_trial_count_before_building(monkeypatch):
     for call in (trial_blocks, run_trials):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call(params, 1, 2.0)
+        with pytest.raises(ParameterError, match="trial count must be nonnegative, got -1"):
+            call(params, 1, -1)
     assert builds == []
+
+
+def test_the_trial_engine_refuses_a_zero_multiplier():
+    params = QcsaParams.default(GF13, 4, 2)
+    doc = build_qcsa_system(params).to_dict()
+    doc["v"][0] = 0
+    system = QcsaSystem.from_dict(doc)
+    runs = (lambda: qcsa_roundtrip(params, 1, system), lambda: trial_blocks(params, 1, 3, system),
+            lambda: run_trials(params, 1, 0, system))
+    for run in runs:
+        with pytest.raises(ParameterError, match="scaling multipliers must be nonzero"):
+            run()
 
 
 @pytest.mark.parametrize("seed,trials", [(np.int64(5), 3), (True, 2), (5, np.int64(3))],
