@@ -2,7 +2,9 @@
 
 Subcommands: construct (build and dump a full channel bundle), verify
 (re-check every invariant of a bundle file), simulate (seeded end-to-end
-trials), rates (exact rate tables over a parameter grid).
+trials), rates (exact rate tables over a parameter grid).  ``main``
+builds only the named command's parser; ``qcsa -h``, no command, an
+unknown one or arguments that parser leaves over get the full tree.
 
 Exit codes: 0 success, 1 internal failure or failed checks/trials,
 2 invalid parameters, 3 malformed input file.  Output is deterministic
@@ -131,47 +133,71 @@ def _json_document(value):
     yield "\n"
 
 
+def _point_flags(parser):
+    parser.add_argument("--p", type=int, required=True, help="prime field modulus")
+    parser.add_argument("--N", type=int, required=True, help="number of servers")
+    parser.add_argument("--L", type=int, required=True, help="desired symbols per instance")
+    parser.add_argument("--alpha", type=_int_list, help="N evaluation points (comma-separated)")
+    parser.add_argument("--f", type=_int_list, help="L desired-symbol points (comma-separated)")
+    parser.add_argument("--u", type=_int_list, help="N nonzero multipliers (default: all ones)")
+
+
+def _construct_flags(parser):
+    parser.set_defaults(run=cmd_construct)
+    _point_flags(parser)
+    parser.add_argument("--beta", type=_int_list,
+                        help="extra multipliers; construct also emits the QCSA matrix for them")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="recorded in the bundle")
+    parser.add_argument("--out", help="output file (default: stdout)")
+
+
+def _verify_flags(parser):
+    parser.set_defaults(run=cmd_verify)
+    parser.add_argument("path", help="bundle file produced by construct")
+
+
+def _simulate_flags(parser):
+    parser.set_defaults(run=cmd_simulate)
+    _point_flags(parser)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--out", help="trial reports as JSON lines (default: stdout)")
+
+
+def _rates_flags(parser):
+    parser.set_defaults(run=cmd_rates)
+    parser.add_argument("--N", type=_int_range, required=True, help="N or A:B (inclusive)")
+    parser.add_argument("--L", type=_int_range, help="L or A:B filter (default: all 1 <= L < N)")
+    parser.add_argument("--out", help="output file (default: stdout)")
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+
+
+COMMANDS = {
+    "construct": ("build a channel bundle and write it as JSON", _construct_flags),
+    "verify": ("re-check every invariant of a bundle file", _verify_flags),
+    "simulate": ("run seeded end-to-end trials", _simulate_flags),
+    "rates": ("exact rate table over an (N, L) grid", _rates_flags),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcsa",
-        description="Construct, verify, and simulate over-the-air CSA channels over GF(p).",
-    )
+    parser = argparse.ArgumentParser(prog="qcsa", description="Construct, verify, and simulate "
+                                     "over-the-air CSA channels over GF(p).")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_point_flags(p):
-        p.add_argument("--p", type=int, required=True, help="prime field modulus")
-        p.add_argument("--N", type=int, required=True, help="number of servers")
-        p.add_argument("--L", type=int, required=True, help="desired symbols per instance")
-        p.add_argument("--alpha", type=_int_list, help="N evaluation points (comma-separated)")
-        p.add_argument("--f", type=_int_list, help="L desired-symbol points (comma-separated)")
-        p.add_argument("--u", type=_int_list, help="N nonzero multipliers (default: all ones)")
-
-    con = sub.add_parser("construct", help="build a channel bundle and write it as JSON")
-    con.set_defaults(run=cmd_construct)
-    add_point_flags(con)
-    con.add_argument("--beta", type=_int_list,
-                     help="extra multipliers; construct also emits the QCSA matrix for them")
-    con.add_argument("--seed", type=int, default=DEFAULT_SEED, help="recorded in the bundle")
-    con.add_argument("--out", help="output file (default: stdout)")
-
-    ver = sub.add_parser("verify", help="re-check every invariant of a bundle file")
-    ver.set_defaults(run=cmd_verify)
-    ver.add_argument("path", help="bundle file produced by construct")
-
-    sim = sub.add_parser("simulate", help="run seeded end-to-end trials")
-    sim.set_defaults(run=cmd_simulate)
-    add_point_flags(sim)
-    sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sim.add_argument("--trials", type=int, default=100)
-    sim.add_argument("--out", help="trial reports as JSON lines (default: stdout)")
-
-    rat = sub.add_parser("rates", help="exact rate table over an (N, L) grid")
-    rat.set_defaults(run=cmd_rates)
-    rat.add_argument("--N", type=_int_range, required=True, help="N or A:B (inclusive)")
-    rat.add_argument("--L", type=_int_range, help="L or A:B filter (default: all 1 <= L < N)")
-    rat.add_argument("--out", help="output file (default: stdout)")
-    rat.add_argument("--format", choices=["csv", "json"], default="csv")
+    for name, (text, declare) in COMMANDS.items():
+        declare(sub.add_parser(name, help=text))
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, by ``argv[0]``'s parser alone if it takes the rest."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"qcsa {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _field_from_args(args) -> PrimeField:
@@ -412,9 +438,8 @@ def cmd_rates(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

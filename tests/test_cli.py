@@ -1,3 +1,4 @@
+import argparse
 import copy
 import csv
 import hashlib
@@ -1020,6 +1021,108 @@ def test_bad_arguments_exit_2_and_say_why(capsys, argv, last_line):
     lines = captured.err.splitlines()
     assert captured.out == "" and captured.err.endswith("\n") and lines[-1] == last_line
     assert len(lines) == 1 or lines[0].startswith(" ".join(["usage: qcsa", *argv[:1], ""]))
+
+
+CONSTRUCT = ("construct", "--p", "13", "--N", "4", "--L", "2")
+# Argument lists that main must parse exactly as the full command tree does.
+# Each runs in a directory holding a valid bundle.json.
+PARSES = {
+    "nothing": (),
+    "-h": ("-h",),
+    "--help": ("--help",),
+    "-h-bogus": ("-h", "--bogus"),
+    "unknown-command": ("bogus",),
+    "option-before-command": ("--foo", *CONSTRUCT),
+    **{f"{command}-h": (command, "-h") for command in COMMAND_FLAGS},
+    "construct-h-bogus": ("construct", "-h", "--bogus"),
+    "construct": CONSTRUCT,
+    "construct-bogus": (*CONSTRUCT, "--bogus"),
+    "construct-missing-L": CONSTRUCT[:5],
+    "construct-extra-positional": (*CONSTRUCT, "extra"),
+    "construct-double-dash": (*CONSTRUCT, "--", "x"),
+    "construct-repeated-N": (*CONSTRUCT, "--N", "5"),
+    "construct-alpha-equals": (*CONSTRUCT, "--alpha=-1,-2,-3,-4"),
+    "verify": ("verify", "bundle.json"),
+    "verify-bogus": ("verify", "bundle.json", "--bogus"),
+    "verify-no-path": ("verify",),
+    "verify-two-paths": ("verify", "bundle.json", "bundle.json"),
+    "simulate": (*SIMULATE, "--trials", "3"),
+    "simulate-bogus": (*SIMULATE, "--trials", "3", "--bogus"),
+    "simulate-bad-trials": (*SIMULATE, "--trials", "x"),
+    "simulate-abbreviated-trials": (*SIMULATE, "--tri", "3"),
+    "rates": ("rates", "--N", "2:4"),
+    "rates-bogus": ("rates", "--N", "2:4", "--bogus"),
+    "rates-format-xml": ("rates", "--N", "2:4", "--format", "xml"),
+    **{f"bad-{name}": argv for name, (argv, _) in BAD_ARGUMENTS.items()},
+}
+
+
+def _outcome(capsys, argv) -> tuple:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", PARSES.values(), ids=PARSES)
+def test_main_parses_as_the_full_tree(tmp_path, capsys, monkeypatch, argv, columns):
+    """Exit code, stdout and stderr, help text included, equal the full tree's in full."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", columns)
+    assert main([*CONSTRUCT, "--out", "bundle.json"]) == 0
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert got == _outcome(capsys, argv)
+
+
+class TreeBuilt(Exception):
+    pass
+
+
+def _refuse_tree():
+    raise TreeBuilt
+
+
+def test_a_well_formed_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch):
+    """Each command's bytes hold without the full tree, from one ArgumentParser."""
+    monkeypatch.setattr(cli, "_build_parser", _refuse_tree)
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+
+    def digest(*argv, out=None) -> str:
+        built.clear()
+        assert main(list(argv)) == 0
+        assert built == [f"qcsa {argv[0]}"]
+        text = capsys.readouterr().out if out is None else out.read_text()
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    args, want = CONSTRUCT_DIGESTS[2]
+    assert digest("construct", *args) == want
+    bundle = tmp_path / "bundle.json"
+    digest("construct", *args, "--out", str(bundle))
+    # Recorded when main parsed every argument list with the full tree.
+    assert digest("verify", str(bundle)) == (
+        "1a372ac6d32b4c004c5c9ee2ca42ec20681efa858d89664cacf9eaa40926f25e")
+    args, want = SIMULATE_DIGESTS[2]
+    trials = tmp_path / "trials.jsonl"
+    assert digest("simulate", *args, "--out", str(trials), out=trials) == want
+    assert digest("rates", "--N", "2:6", "--format", "json") == (
+        "e3459cc75b023f1d2c4f97b695732b887baa9952b69b2d5b3522f22c17f32900")
+    for command in COMMAND_FLAGS:
+        assert main([command, "-h"]) == 0
+
+
+@pytest.mark.parametrize("argv", [("-h",), (), ("bogus",), (*CONSTRUCT, "--bogus")],
+                         ids=["-h", "nothing", "unknown-command", "leftover-bogus"])
+def test_help_and_usage_errors_build_the_full_tree(monkeypatch, argv):
+    monkeypatch.setattr(cli, "_build_parser", _refuse_tree)
+    with pytest.raises(TreeBuilt):
+        main(list(argv))
 
 
 HUGE = str(10**20)  # past 2**63
