@@ -13,10 +13,12 @@ bundle, or a JSON rate table, is byte for byte
 ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` and a JSONL line
 ``json.dumps(row, sort_keys=True)``; the writers below emit those layouts
 directly, since ``indent`` sends ``json`` to its pure-Python encoder.
-``verify`` reads a bundle as ``json.load`` would, except that each long
-flat list of non-negative integers comes back as an int64 array parsed by
-numpy; a file that reader, or the bundle parse of its arrays, does not
-take is read again by ``json.load`` itself.
+``construct`` writes each matrix from its int64 array, with no int list;
+in a leaf of 4096 entries or more, each run of 16 or more zeros is a
+slice of one constant text.  ``verify`` reads a bundle as ``json.load``
+would, except that each long flat list of non-negative integers comes
+back as an int64 array parsed by numpy; a file that reader, or the bundle
+parse of its arrays, does not take is read again by ``json.load`` itself.
 """
 
 import argparse
@@ -92,27 +94,44 @@ def _output(path: str | None):
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+# Entries formatted at once (never the text of a whole M_Q), which is also
+# the shortest leaf searched for runs of _ZERO_RUN or more zeros: searching
+# every leaf cost a sim-grid construct, whose leaves are shorter, about 20%.
+_CHUNK, _ZERO_RUN = 4096, 16
+
+
 def _json_chunks(value, pad: str = ""):
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, in pieces.
 
-    A list whose first item is an int (not a bool) is a leaf, written with
-    one ``%d`` format per 4096 entries; that holds because every list in
-    these documents is all ints or holds no int.  Dicts go by sorted key and
-    other lists and tuples item by item, as in ``json``; scalars and empty
-    containers go through ``json.dumps``.
+    A leaf, an int64 array or a list whose first item is an int (not a
+    bool; every list here is all ints or holds none), is written from
+    ``np.asarray`` of it, ``_CHUNK`` entries at most by one ``%d`` join over
+    ``tolist``; in a leaf of ``_CHUNK`` entries or more, each run of
+    ``_ZERO_RUN`` or more zeros is a slice of one ``"0" + sep`` text instead.
+    Dicts go by sorted str key, encoded as ``json`` encodes one; other lists
+    and tuples item by item; scalars and empty containers by ``json.dumps``.
     """
     inner = pad + "  "
-    if isinstance(value, list) and value and type(value[0]) is int:
-        sep = ",\n" + inner
+    if isinstance(value, np.ndarray) or isinstance(value, list) and value and type(value[0]) is int:
+        arr, sep = np.asarray(value), ",\n" + inner
+        pieces = [(0, arr.size, False)]  # (start, end, all zeros)
+        if arr.size >= _CHUNK:
+            flips = np.flatnonzero(np.diff(arr == 0, prepend=False, append=False)).reshape(-1, 2)
+            edges = [0, *flips[flips[:, 1] - flips[:, 0] >= _ZERO_RUN].ravel().tolist(), arr.size]
+            pieces = ((start, min(start + _CHUNK, end), k % 2) for k, end in enumerate(edges[1:])
+                      for start in range(edges[k], end, _CHUNK))
+            zeros = ("0" + sep) * _CHUNK
         yield "[\n" + inner
-        for start in range(0, len(value), 4096):  # never the text of a whole M_Q at once
-            part = value[start:start + 4096]
-            yield (sep if start else "") + sep.join(["%d"] * len(part)) % tuple(part)
+        for start, end, zero in pieces:
+            n = end - start
+            text = (zeros[:n * (len(sep) + 1) - len(sep)] if zero else
+                    sep.join(["%d"] * n) % tuple(arr[start:end].tolist()))
+            yield (sep if start else "") + text
         yield f"\n{pad}]"
     elif isinstance(value, dict) and value:
         sep = "{\n"
         for key in sorted(value):
-            yield f"{sep}{inner}{json.dumps(key)}: "
+            yield f"{sep}{inner}{json.encoder.encode_basestring_ascii(key)}: "
             yield from _json_chunks(value[key], inner)
             sep = ",\n"
         yield f"\n{pad}}}"
@@ -212,10 +231,10 @@ def cmd_construct(args) -> int:
     if reduce_servers(args.N, args.L) != (args.N, args.L):
         raise ParameterError(f"L={args.L} exceeds N/2={args.N / 2}; not constructible")
     params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
-    bundle = build_qcsa_system(params).to_dict()
+    bundle = build_qcsa_system(params)._doc()
     bundle["seed"] = args.seed
     if args.beta is not None:
-        bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta)).to_dict()
+        bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta))._doc()
     with _output(args.out) as out:
         out.writelines(_json_document(bundle))
     return 0

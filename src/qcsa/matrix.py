@@ -334,12 +334,13 @@ class FieldMatrix:
 
     def to_dict(self) -> dict:
         """The entries in row-major order, as ints."""
-        return {
-            "p": self.field.p,
-            "rows": self.rows,
-            "cols": self.cols,
-            "data": self._data.ravel().tolist(),
-        }
+        doc = self._doc()
+        doc["data"] = doc["data"].tolist()
+        return doc
+
+    def _doc(self) -> dict:
+        """:meth:`to_dict` with the entries as a flat int64 array, as ``construct`` writes them."""
+        return {"p": self.field.p, "rows": self.rows, "cols": self.cols, "data": self._data.ravel()}
 
     def __repr__(self) -> str:
         return f"FieldMatrix(GF({self.field.p}), {self._data.tolist()})"

@@ -236,16 +236,20 @@ class QcsaSystem:
 
     def to_dict(self) -> dict:
         """The bundle, as ``construct`` writes it without its ``seed`` and ``Q_beta``."""
+        return self._doc(FieldMatrix.to_dict)
+
+    def _doc(self, matrix=FieldMatrix._doc) -> dict:
+        """The bundle's one layout, each matrix as ``matrix`` gives it; ``construct`` writes it."""
         return {
             "params": self.params.to_dict(),
             "u": list(self.u),
             "v": list(self.v),
-            "Qu": self.qu.to_dict(),
-            "Qv": self.qv.to_dict(),
-            "G": self.box.G.to_dict(),
-            "H": self.box.H.to_dict(),
+            "Qu": matrix(self.qu),
+            "Qv": matrix(self.qv),
+            "G": matrix(self.box.G),
+            "H": matrix(self.box.H),
             "pi": self.box.pi.to_dict() if self.box.pi is not None else None,
-            "M_Q": self.box.M.to_dict(),
+            "M_Q": matrix(self.box.M),
         }
 
     @classmethod

@@ -180,6 +180,11 @@ CONSTRUCT_DIGESTS = [
     (("--N", "8", "--L", "3", "--p", "2147483647", "--alpha", "7,3,50,11,99,2000000000,5,6",
       "--f", "20,64,1234567", "--u", "5,17,1,88,42,2147483646,3,9"),
      "e826ecfb57ffd6010d9355c967e661de2603238be812a8505b8223cd252878b2"),
+    # Recorded when construct wrote every entry with %d from to_dict's lists.
+    # G, H and M_Q here are the smallest leaves searched for zero runs, and
+    # hold 95, 95 and 47 runs of 16 or more zeros.
+    (("--N", "48", "--L", "12", "--p", "65521"),
+     "59fb4a466834758178f70c70a7ed8825362a9adc3b37167b8926ee77061311f0"),
 ]
 DIGEST_IDS = ["-".join(args[1:6:2]) + ("-points" if len(args) > 6 else "")
               for args, _ in CONSTRUCT_DIGESTS]
@@ -315,6 +320,45 @@ def test_construct_bytes_match_json_at_large_n(capsys, args):
     assert_same_text(capsys.readouterr().out, _referee_bundle(args))
 
 
+def _leaf(size: int, *zero_runs) -> np.ndarray:
+    """``size`` nonzero residues below 2^31 - 1, but 0 on each [start, end) of ``zero_runs``."""
+    arr = np.random.default_rng(size).integers(1, 2**31 - 1, size)
+    for start, end in zero_runs:
+        arr[start:end] = 0
+    return arr
+
+
+# Leaves at the edges of the writer's zero runs (16 or more entries), its
+# 4096-entry chunks and its size guard (only a leaf of 4096 entries or more
+# is searched for runs).
+WRITER_LEAVES = {
+    "runs-15-16-17": _leaf(5000, (100, 115), (200, 216), (300, 317)),
+    "run-across-a-chunk": _leaf(9000, (4080, 4120)),
+    "run-into-a-chunk-edge": _leaf(9000, (4060, 4096)),
+    "run-from-a-chunk-edge": _leaf(9000, (4096, 4130)),
+    "run-at-start": _leaf(5000, (0, 40)),
+    "run-at-end": _leaf(5000, (4950, 5000)),
+    "runs-at-both-ends": _leaf(4096, (0, 16), (4080, 4096)),
+    "all-zero": np.zeros(10_000, dtype=np.int64),
+    "no-zero": _leaf(10_000),
+    "one-entry": np.array([7]),
+    "one-zero": np.array([0]),
+    "under-the-guard": _leaf(4095, (10, 60), (4000, 4095)),
+    "at-the-guard": _leaf(4096, (10, 60), (4000, 4096)),
+    "over-the-guard": _leaf(4097, (10, 60), (4000, 4097)),
+}
+
+
+@pytest.mark.parametrize("leaf", WRITER_LEAVES.values(), ids=WRITER_LEAVES)
+def test_writer_leaves_match_json(leaf):
+    # A matrix's data sits at the depth of a bundle's; the same entries as a
+    # list take the writer's one leaf path too.
+    doc = {"M": {"cols": 1, "data": leaf, "p": 2**31 - 1}, "flat": leaf.tolist()}
+    want = json.dumps({**doc, "M": {**doc["M"], "data": leaf.tolist()}},
+                      indent=2, sort_keys=True) + "\n"
+    assert_same_text("".join(cli._json_document(doc)), want)
+
+
 def test_rates_json_bytes_match_json(capsys):
     assert run_cli("rates", "--N", "2:40", "--format", "json") == 0
     rows = [rate_report(n, l).to_dict() for n in range(2, 41) for l in range(1, n)]
@@ -444,6 +488,19 @@ def test_simulate_memory_stays_flat_in_trials(tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 8_000_000, peak
     assert capsys.readouterr().err.startswith("20000/20000 trials passed")
+
+
+def test_construct_memory_holds_no_int_lists(tmp_path):
+    """construct writes from the int64 arrays, whose zero runs are constant
+    text: N = 256 traces under 12 MB, where writing to_dict's int lists took 19.9 MB."""
+    tracemalloc.start()
+    try:
+        assert run_cli("construct", "--p", "65521", "--N", "256", "--L", "64",
+                       "--out", str(tmp_path / "bundle.json")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000, peak
 
 
 def _set(path, transform):

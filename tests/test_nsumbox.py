@@ -281,6 +281,14 @@ def test_verify_box_and_system():
     assert all(verify_system(system).values())
 
 
+def test_to_dict_gives_plain_int_lists():
+    # construct writes the same layout from int64 arrays; library callers get lists.
+    doc = build_qcsa_system(QcsaParams.default(PrimeField(65521), 48, 12)).to_dict()
+    for key in ("Qu", "Qv", "G", "H", "M_Q"):
+        assert all(type(x) is int for x in doc[key]["data"]), key
+    assert all(type(x) is int for key in ("u", "v") for x in doc[key])
+
+
 def test_verify_detects_tampering():
     system = build_qcsa_system(QcsaParams.default(GF13, 4, 1))
     doc = system.to_dict()
