@@ -8,11 +8,12 @@ unknown one or arguments that parser leaves over get the full tree.
 
 Exit codes: 0 success, 1 internal failure or failed checks/trials,
 2 invalid parameters, 3 malformed input file.  Output is deterministic
-for a fixed argument list, seed included, so runs can be diffed.  A
-bundle, or a JSON rate table, is byte for byte
-``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` and a JSONL line
-``json.dumps(row, sort_keys=True)``; the writers below emit those layouts
-directly, since ``indent`` sends ``json`` to its pure-Python encoder.
+for a fixed argument list, seed included, so runs can be diffed.  A JSON
+rate table is ``json.dump(rows, out, indent=2, sort_keys=True)`` and a
+newline.  A bundle is byte for byte that layout of its dict, and a JSONL
+line ``json.dumps(row, sort_keys=True)``; the writers below emit those
+directly, since ``indent`` sends a bundle's ints through ``json``'s
+pure-Python encoder.
 ``construct`` writes each matrix from its int64 array, with no int list;
 in a leaf of 4096 entries or more, each run of 16 or more zeros is a
 slice of one constant text.  ``verify`` reads a bundle as ``json.load``
@@ -103,16 +104,15 @@ _CHUNK, _ZERO_RUN = 4096, 16
 def _json_chunks(value, pad: str = ""):
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, in pieces.
 
-    A leaf, an int64 array or a list whose first item is an int (not a
-    bool; every list here is all ints or holds none), is written from
-    ``np.asarray`` of it, ``_CHUNK`` entries at most by one ``%d`` join over
-    ``tolist``; in a leaf of ``_CHUNK`` entries or more, each run of
-    ``_ZERO_RUN`` or more zeros is a slice of one ``"0" + sep`` text instead.
-    Dicts go by sorted str key, encoded as ``json`` encodes one; other lists
-    and tuples item by item; scalars and empty containers by ``json.dumps``.
+    ``value`` is a bundle or a part of one.  A leaf, an int64 array or a list
+    (every list in a bundle is a non-empty list of ints), is written
+    ``_CHUNK`` entries at most by one ``%d`` join over ``tolist``; in a leaf
+    of ``_CHUNK`` entries or more, each run of ``_ZERO_RUN`` or more zeros
+    is a slice of one ``"0" + sep`` text instead.  Dicts go by sorted key,
+    each encoded as ``json`` does; scalars and empty dicts by ``json.dumps``.
     """
     inner = pad + "  "
-    if isinstance(value, np.ndarray) or isinstance(value, list) and value and type(value[0]) is int:
+    if isinstance(value, (np.ndarray, list)):
         arr, sep = np.asarray(value), ",\n" + inner
         pieces = [(0, arr.size, False)]  # (start, end, all zeros)
         if arr.size >= _CHUNK:
@@ -135,21 +135,8 @@ def _json_chunks(value, pad: str = ""):
             yield from _json_chunks(value[key], inner)
             sep = ",\n"
         yield f"\n{pad}}}"
-    elif isinstance(value, (list, tuple)) and value:
-        sep = "[\n"
-        for item in value:
-            yield sep + inner
-            yield from _json_chunks(item, inner)
-            sep = ",\n"
-        yield f"\n{pad}]"
     else:
         yield json.dumps(value)
-
-
-def _json_document(value):
-    """The bytes of ``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, in pieces."""
-    yield from _json_chunks(value)
-    yield "\n"
 
 
 def _point_flags(parser):
@@ -236,7 +223,8 @@ def cmd_construct(args) -> int:
     if args.beta is not None:
         bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta))._doc()
     with _output(args.out) as out:
-        out.writelines(_json_document(bundle))
+        out.writelines(_json_chunks(bundle))
+        out.write("\n")
     return 0
 
 
@@ -448,7 +436,8 @@ def cmd_rates(args) -> int:
         raise ParameterError(f"--N {n_lo}:{n_hi} --L {l_lo}:{l_hi} selects no pair with 1 <= L < N")
     with _output(args.out) as out:
         if args.format == "json":
-            out.writelines(_json_document(rows))
+            json.dump(rows, out, indent=2, sort_keys=True)
+            out.write("\n")
         else:
             writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()

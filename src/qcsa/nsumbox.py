@@ -270,7 +270,7 @@ class QcsaSystem:
             _matrix(doc, "Q_beta", p, (n, n))
         m = _matrix(doc, "M_Q", p, (n, 2 * n))
         g, h = (_matrix(doc, key, p, (2 * n, n)) for key in ("G", "H"))
-        pi = _parse(doc, "pi", Permutation.from_dict) if doc.get("pi") is not None else None
+        pi = _parse(doc, "pi", Permutation.from_dict) if doc["pi"] is not None else None
         if pi is not None and pi.n != 2 * n:
             raise ValueError(f"pi must permute [1..{2 * n}], got length {pi.n}")
         if tuple(json_ints(doc["u"], "u", 0, p).tolist()) != params.beta:

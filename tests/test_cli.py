@@ -356,13 +356,28 @@ def test_writer_leaves_match_json(leaf):
     doc = {"M": {"cols": 1, "data": leaf, "p": 2**31 - 1}, "flat": leaf.tolist()}
     want = json.dumps({**doc, "M": {**doc["M"], "data": leaf.tolist()}},
                       indent=2, sort_keys=True) + "\n"
-    assert_same_text("".join(cli._json_document(doc)), want)
+    assert_same_text("".join(cli._json_chunks(doc)) + "\n", want)
 
 
 def test_rates_json_bytes_match_json(capsys):
     assert run_cli("rates", "--N", "2:40", "--format", "json") == 0
     rows = [rate_report(n, l).to_dict() for n in range(2, 41) for l in range(1, n)]
     assert_same_text(capsys.readouterr().out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
+
+
+# Recorded when the rate table had a writer of its own, before json.dump.
+RATES_JSON_DIGESTS = {
+    "2:200": (("--N", "2:200"),
+              "4694ee95fad3200e6a223640f75defefcea331f0d7fb5d0ae5f72e746c086603"),
+    "2:6-L2:3": (("--N", "2:6", "--L", "2:3"),
+                 "a75fcc1ee3c7255bc677c2517d533aa8086eae3061e42c2b55a3d1598ec6b628"),
+}
+
+
+@pytest.mark.parametrize("args,digest", RATES_JSON_DIGESTS.values(), ids=RATES_JSON_DIGESTS)
+def test_rates_json_bytes_match_their_digest(capsys, args, digest):
+    assert run_cli("rates", *args, "--format", "json") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def _referee_jsonl(params, argv, system=None) -> str:
@@ -555,6 +570,7 @@ MALFORMED_BUNDLES = {
     "pi n missing": (_del(("pi", "n")), "pi: missing key 'n'"),
     "params alpha missing": (_del(("params", "alpha")), "params: missing key 'alpha'"),
     "v missing": (_del(("v",)), "bundle.json: missing key 'v'"),
+    "pi missing": (_del(("pi",)), "bundle.json: missing key 'pi'"),
 }
 
 
