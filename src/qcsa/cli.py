@@ -9,11 +9,12 @@ unknown one or arguments that parser leaves over get the full tree.
 Exit codes: 0 success, 1 internal failure or failed checks/trials,
 2 invalid parameters, 3 malformed input file.  Output is deterministic
 for a fixed argument list, seed included, so runs can be diffed.  A JSON
-rate table is ``json.dump(rows, out, indent=2, sort_keys=True)`` and a
-newline.  A bundle is byte for byte that layout of its dict, and a JSONL
-line ``json.dumps(row, sort_keys=True)``; the writers below emit those
-directly, since ``indent`` sends a bundle's ints through ``json``'s
-pure-Python encoder.
+rate table is ``json.dumps(rows, indent=2, sort_keys=True)`` and a
+newline, written 16,384 encoder chunks at a time (``json.dump`` writes
+each chunk, ``json.dumps`` holds them all).  A bundle is byte for byte
+that layout of its dict, and a JSONL line ``json.dumps(row, sort_keys=True)``;
+the writers below emit those directly, since ``indent`` sends a bundle's
+ints through ``json``'s pure-Python encoder.
 ``construct`` writes each matrix from its int64 array, with no int list;
 in a leaf of 4096 entries or more, each run of 16 or more zeros is a
 slice of one constant text.  ``verify`` reads a bundle as ``json.load``
@@ -29,6 +30,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
+from itertools import islice
 
 import numpy as np
 
@@ -436,7 +438,8 @@ def cmd_rates(args) -> int:
         raise ParameterError(f"--N {n_lo}:{n_hi} --L {l_lo}:{l_hi} selects no pair with 1 <= L < N")
     with _output(args.out) as out:
         if args.format == "json":
-            json.dump(rows, out, indent=2, sort_keys=True)
+            chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(rows)
+            out.writelines(iter(lambda: "".join(islice(chunks, 16384)), ""))
             out.write("\n")
         else:
             writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")

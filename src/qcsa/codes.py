@@ -142,7 +142,7 @@ def csa_matrix(field: PrimeField, alpha, f) -> FieldMatrix:
     return FieldMatrix(field, out)
 
 
-def _csa_inverse(csa: FieldMatrix, alpha: tuple, f: tuple) -> FieldMatrix:
+def _csa_inverse(csa: FieldMatrix, alpha: tuple, f: tuple, tail=None) -> FieldMatrix:
     """The N x N inverse of the CSA matrix ``csa`` of (alpha, f), in closed form.
 
     With K = C[:, :L] and V = C[:, L:], C^{-1} = [-Diag(s) K^T ; J T V^T] Diag(c)
@@ -151,29 +151,32 @@ def _csa_inverse(csa: FieldMatrix, alpha: tuple, f: tuple) -> FieldMatrix:
     s_j = prod_m (f_j - alpha_m) / prod_{i != j} (f_j - f_i), T is the
     lower-triangular Toeplitz matrix of the first N - L coefficients of the
     series prod_m (1 - alpha_m x) / prod_j (1 - f_j x), and J reverses rows.
+    With ``tail``, only the first L rows and the last ``tail`` rows of C^{-1}
+    are built, in that order, and the series stops after ``tail`` coefficients.
     """
     p, n, l = csa.field.p, len(alpha), len(f)
+    tail = n - l if tail is None else tail
     # For each point z_i of alpha then f: prod (z_i - alpha_m) and prod (z_i - f_j),
     # each without the factor z_i - z_i.
     z = np.array(alpha + f, dtype=np.int64)
     to_alpha, to_f = _difference_products(z, z[:n], p), _difference_products(z, z[n:], p)
     inv = inverse_residues(np.concatenate([to_alpha[:n], to_f[n:]]), p)
     c, s = to_f[:n] * inv[:n] % p, to_alpha[n:] * inv[n:] % p
-    # The series mod x**(N-L): the numerator's coefficients, then a division
+    # The series mod x**tail: the numerator's coefficients, then a division
     # by the degree-L denominator, one coefficient g_k at a time.  Row k of
     # T V^T is g_k + Diag(alpha) times row k - 1; J puts it at N - L - 1 - k.
-    num, den = np.zeros(n - l, dtype=np.int64), np.zeros(l + 1, dtype=np.int64)
-    num[0] = den[0] = 1
+    num, den = np.zeros(tail, dtype=np.int64), np.zeros(l + 1, dtype=np.int64)
+    num[:1] = den[0] = 1
     for poly, roots in ((num, alpha), (den, f)):
         for x in roots:
             poly[1:] -= x * poly[:-1]
             poly %= p
     den, g = den[1:].tolist(), []
-    row, tail = np.zeros(n, dtype=np.int64), np.empty((n - l, n), dtype=np.int64)
+    row, rows = np.zeros(n, dtype=np.int64), np.empty((tail, n), dtype=np.int64)
     for k, e in enumerate(num.tolist()):
         g.append((e - sum(map(mul, den, reversed(g[max(0, k - l):])))) % p)
-        row = tail[n - l - 1 - k] = (g[-1] + z[:n] * row) % p
-    return FieldMatrix(csa.field, np.vstack([-s[:, None] * csa.array[:, :l].T % p, tail]) * c)
+        row = rows[tail - 1 - k] = (g[-1] + z[:n] * row) % p
+    return FieldMatrix(csa.field, np.vstack([-s[:, None] * csa.array[:, :l].T % p, rows]) * c)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ Block-Diag(Qu, Qv) at one fixed layout, and because Qu = Diag(u) C and
 Qv = Diag(v) C for the one CSA matrix C, M's top rows are selected rows
 of C^{-1} Diag(u)^{-1} and its bottom rows selected rows of
 C^{-1} Diag(v)^{-1}, so the synthesis never inverts a 2N x 2N matrix.
+``qcsa_channel`` builds v and M alone, all the :mod:`qcsa.scheme` trial engine
+reads besides u and C; ``build_qcsa_system`` is that channel plus Qu, Qv, G and H.
 ``build_qcsa_box`` checks a supplied pair against that system, with the
 pair checks of ``verify_system``.
 
@@ -42,6 +44,7 @@ import numpy as np
 from .codes import (
     ParameterError,
     QcsaParams,
+    _csa_inverse,
     dual_multipliers,
     qcsa_grs_submatrix,
     qcsa_matrix,
@@ -53,6 +56,7 @@ from .matrix import (
     SingularMatrixError,
     block_diag,
     hstack,
+    inverse_residues,
     json_int,
     json_ints,
 )
@@ -229,10 +233,10 @@ class QcsaSystem:
 
     @cached_property
     def _trial_engine(self):
-        """The trial engine of :mod:`qcsa.scheme` for this system, built on first use."""
+        """The :mod:`qcsa.scheme` trial engine on this system's v and M_Q, built on first use."""
         from .scheme import _TrialEngine  # scheme imports this module
 
-        return _TrialEngine(self)
+        return _TrialEngine(self.params, self.v, self.box.M)
 
     def to_dict(self) -> dict:
         """The bundle, as ``construct`` writes it without its ``seed`` and ``Q_beta``."""
@@ -279,6 +283,26 @@ class QcsaSystem:
         return cls(params, v, qu, qv, NSumBox(params.field, n, m, g, h, pi))
 
 
+def qcsa_channel(params: QcsaParams) -> tuple:
+    """v and the channel matrix M_Q of :func:`build_qcsa_system`, without Qu, Qv, G or H.
+
+    M_Q is the selector's rows of Block-Diag(C^{-1} Diag(u)^{-1}, C^{-1} Diag(v)^{-1}):
+    its top floor(N/2) rows are rows [0, L) and [L + ceil(N/2), N) of C^{-1} Diag(u)^{-1},
+    in columns [0, N), and its bottom ceil(N/2) rows are rows [0, L) and
+    [L + floor(N/2), N) of C^{-1} Diag(v)^{-1}, in columns [N, 2N).  So only the
+    first L and the last ceil(N/2) - L rows of C^{-1} are built.
+    """
+    n, l, floor, p = params.N, params.L, params.half_floor, params.field.p
+    v = dual_multipliers(params.field, params.alpha, params.beta)
+    rows = _csa_inverse(params.csa, params.alpha, params.f, params.half_ceil - l).array
+    u_inv, v_inv = inverse_residues(np.array([params.beta, v], dtype=np.int64), p)
+    m = np.zeros((n, 2 * n), dtype=np.int64)
+    m[:l, :n] = rows[:l] * u_inv % p
+    m[l:floor, :n] = rows[l + n % 2:] * u_inv % p  # odd N: C^{-1} row L + N // 2 is bottom's only
+    m[floor:, n:] = rows * v_inv % p
+    return v, FieldMatrix._from_canonical(params.field, m)
+
+
 def build_qcsa_system(params: QcsaParams) -> QcsaSystem:
     """Construct v, Qu, Qv and the feasible box that decodes them, in one pass.
 
@@ -289,20 +313,14 @@ def build_qcsa_system(params: QcsaParams) -> QcsaSystem:
     surplus GRS column of Qv is demoted to H).  H gathers the remaining
     columns of Block-Diag(Qu, Qv): Qu's Cauchy block, Qu's Vandermonde
     tail, Qv's Cauchy block, the demoted column when N is odd, then Qv's
-    tail.  The channel matrix is the row selector times
-    Block-Diag(Qu, Qv)^{-1}, and since Qu^{-1} = C^{-1} Diag(u)^{-1} and
-    Qv^{-1} = C^{-1} Diag(v)^{-1}, its top rows are selected rows of
-    C^{-1} Diag(u)^{-1} and its bottom rows selected rows of
-    C^{-1} Diag(v)^{-1}.  C^{-1} has a closed form, so nothing is eliminated.
+    tail.  v and the channel matrix come from :func:`qcsa_channel`, which
+    reads M_Q off the closed-form C^{-1}, so nothing is eliminated.
     """
-    n, l, p = params.N, params.L, params.field.p
-    v = dual_multipliers(params.field, params.alpha, params.beta)
+    n = params.N
+    v, m = qcsa_channel(params)
     qu, qv = qcsa_matrix(params), params.csa.scale_rows(v)
-    pi = gh_column_permutation(n, l)
-    layout = [i - 1 for i in pi.image]
-    gh = block_diag([qu, qv]).take_columns(layout)
-    m = block_diag([params.csa_inverse.scale_columns([pow(x, -1, p) for x in w])
-                    for w in (params.beta, v)]).take_rows(layout[n:])
+    pi = gh_column_permutation(n, params.L)
+    gh = block_diag([qu, qv]).take_columns([i - 1 for i in pi.image])
     return QcsaSystem(params, v, qu, qv, NSumBox(params.field, n, m, gh[:, :n], gh[:, n:], pi))
 
 

@@ -21,10 +21,12 @@ nu(1), delta(2), nu(2) into column t of a 2N x T stack as numpy's
 :func:`qcsa.stream.draws` for a block at once (so the draws do not depend
 on the installed numpy);
 :func:`qcsa_roundtrip` draws its one seed with :func:`qcsa.stream.column`.
-One engine, prepared once per :class:`~qcsa.nsumbox.QcsaSystem`, then
-encodes, scales, transmits and compares the stack's trials together as
-N x T products, so ``qcsa_roundtrip(params, (seed, t))`` replays any trial
-of a batch on its own.  :func:`server_scale` and
+One engine reads only u, v, C and M_Q: a given
+:class:`~qcsa.nsumbox.QcsaSystem`'s own v and M_Q, or without one those of
+:func:`qcsa.nsumbox.qcsa_channel`, which builds no Qu, Qv, G or H.  Prepared
+once, it encodes, scales, transmits and compares the stack's trials
+together as N x T products, so ``qcsa_roundtrip(params, (seed, t))``
+replays any trial of a batch on its own.  :func:`server_scale` and
 :meth:`SchemeInstance.from_symbols` remain the per-server operations, for
 hand-built inputs; no trial runs through them.
 """
@@ -39,7 +41,7 @@ import numpy as np
 from .codes import ParameterError, QcsaParams, check_room
 from .field import PrimeField
 from .matrix import FieldMatrix, _apply, _mod_matmul, _prepare, as_residue_vector
-from .nsumbox import QcsaSystem, build_qcsa_system, selector_row_indices
+from .nsumbox import QcsaSystem, qcsa_channel, selector_row_indices
 
 RNG_NAME = "pcg64"
 # trial_blocks runs at most this many trials at a time, so a streamed run
@@ -101,23 +103,23 @@ def server_scale(field: PrimeField, a1, a2, u, v) -> np.ndarray:
 
 
 class _TrialEngine:
-    """One system's trial pipeline, with everything but the draws prepared once.
+    """One channel's trial pipeline, with everything but the draws prepared once.
 
-    Holds the draws of 2N symbols mod p (one seed's column, or a block's
-    2N x T stack), the stacked multipliers [u; v] (checked nonzero here), the
-    selector gather, and C and M_Q, split once by ``matrix._prepare``.  ``run``
-    applies them with ``matrix._apply``, whose exactness bounds hold only for
-    canonical residues, so every right operand is reduced mod p first.
+    Reads only u (``params.beta``), v, C and M_Q.  Holds the draws of 2N
+    symbols mod p (one seed's column, or a block's 2N x T stack), the stacked
+    multipliers [u; v] (checked nonzero here), the selector gather, and C and
+    M_Q, split once by ``matrix._prepare``.  ``run`` applies them with
+    ``matrix._apply``, whose exactness bounds hold only for canonical
+    residues, so every right operand is reduced mod p first.
     """
 
-    def __init__(self, system: QcsaSystem):
+    def __init__(self, params: QcsaParams, v, m: FieldMatrix):
         # Imported here, not with ``import qcsa``: construct and verify never draw.
         from .stream import column, draws
 
-        params = system.params
         field, n, l = params.field, params.N, params.L
-        uv = np.concatenate([as_residue_vector(field, system.u, n),
-                             as_residue_vector(field, system.v, n)])
+        uv = np.concatenate([as_residue_vector(field, params.beta, n),
+                             as_residue_vector(field, v, n)])
         if not uv.all():
             raise ParameterError("scaling multipliers must be nonzero")
         self.p, self.n = field.p, n
@@ -125,7 +127,7 @@ class _TrialEngine:
         self.draws = partial(draws, p=field.p, count=2 * n)
         self.csa = _prepare(params.csa.array, field.p)
         self.uv = uv[:, None]
-        self.m_q = _prepare(system.box.M.array, field.p)
+        self.m_q = _prepare(m.array, field.p)
         self.select = np.asarray(selector_row_indices(n, l)) - 1
 
     def run(self, symbols) -> tuple:
@@ -146,13 +148,13 @@ class _TrialEngine:
         return answers, y, symbols[self.select]
 
 
-def _system_for(params: QcsaParams, system: QcsaSystem | None) -> QcsaSystem:
-    """``system``, or a fresh build; a system built for other parameters is refused."""
+def _engine_for(params: QcsaParams, system: QcsaSystem | None) -> _TrialEngine:
+    """``system``'s engine, checked against ``params``, or one on ``qcsa_channel(params)``."""
     if system is None:
-        return build_qcsa_system(params)
+        return _TrialEngine(params, *qcsa_channel(params))
     if system.params != params:
         raise ParameterError("the system was built for other parameters than those given")
-    return system
+    return system._trial_engine
 
 
 @dataclass(frozen=True)
@@ -205,8 +207,7 @@ def qcsa_roundtrip(params: QcsaParams, seed, system: QcsaSystem | None = None) -
     interference segments are empty and y is just the two desired blocks.
     This is one trial of the prepared engine, on the stream ``seed``.
     """
-    system = _system_for(params, system)
-    engine = system._trial_engine
+    engine = _engine_for(params, system)
     n, l = params.N, params.L
     drawn = np.array(engine.column(seed), dtype=np.int64)[:, None]
     symbols, answers, y, expected = (tuple(a[:, 0].tolist()) for a in (drawn, *engine.run(drawn)))
@@ -231,7 +232,7 @@ def trial_blocks(params: QcsaParams, seed: int, trials: int, system: QcsaSystem 
     """Run seeded trials a block at a time; trial t uses the derived stream (seed, t).
 
     The seed (a non-negative int), the trial count and the system are
-    checked, and the system built, when this is called; the trials run as
+    checked, and the channel built, when this is called; the trials run as
     the result is iterated.  It yields ``(block, y, expected, ok)`` for each
     block of up to TRIAL_BLOCK trials in order: the range of the block's t,
     the box outputs and the predicted outputs as N x T arrays with column j
@@ -244,7 +245,7 @@ def trial_blocks(params: QcsaParams, seed: int, trials: int, system: QcsaSystem 
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     if trials < 0:
         raise ParameterError(f"trial count must be nonnegative, got {trials}")
-    engine = _system_for(params, system)._trial_engine
+    engine = _engine_for(params, system)
 
     def blocks():
         for first in range(0, trials, TRIAL_BLOCK):

@@ -4,6 +4,8 @@ Everything here is plain Python ints on lists of lists: schoolbook
 products, cofactor determinants, adjugate inverses, direct entry-formula
 constructions, and a trial-by-trial referee for the simulator.  Nothing imports the package's elimination
 kernels, so these stay an independent route for every value they check.
+``block_diag_channel`` alone assembles package matrices: it keeps the whole
+2N x 2N Block-Diag route to M_Q that ``nsumbox.qcsa_channel`` cuts short.
 """
 
 
@@ -131,3 +133,19 @@ def qcsa_trials(alpha, f, u, m_rows, draws, p):
         out.append({"delta": (s1[:l], s2[:l]), "nu": (nu1, nu2), "answers": (a1, a2),
                     "y": y, "expected": expected, "passed": y == expected})
     return out
+
+
+def block_diag_channel(params):
+    """M_Q as the selector's rows of Block-Diag(C^{-1} Diag(u)^{-1}, C^{-1} Diag(v)^{-1}).
+
+    Built from the full closed-form C^{-1} (``params.csa_inverse``, checked
+    against Gauss-Jordan in test_codes) and this module's dual multipliers.
+    """
+    from qcsa.matrix import block_diag
+    from qcsa.nsumbox import selector_row_indices
+
+    p = params.field.p
+    v = dual_mult(list(params.alpha), list(params.beta), p)
+    blocks = [params.csa_inverse.scale_columns([inv_mod(x, p) for x in w])
+              for w in (params.beta, v)]
+    return block_diag(blocks).take_rows([i - 1 for i in selector_row_indices(params.N, params.L)])

@@ -220,6 +220,15 @@ SIMULATE_DIGESTS = [
     # method, which no smaller golden modulus does.
     (("--p", "1073741827", "--N", "12", "--L", "5", "--trials", "300"),
      "b49c664c0880367069d553ee098a77663a1621f73d0103159ed7f0e93975bf72"),
+    # Recorded when simulate cut M_Q from the whole Block-Diag of C^{-1}
+    # Diag(u)^{-1} and C^{-1} Diag(v)^{-1}: the benchmark's two large shapes,
+    # and an odd N whose channel keeps one row of C^{-1}'s tail.
+    (("--p", "65521", "--N", "256", "--L", "64", "--trials", "20"),
+     "026a17417f163528ee51090d91df5f3e9be8d22a40a8a7b77017870c6609e94c"),
+    (("--p", "2147483647", "--N", "255", "--L", "64", "--trials", "20"),
+     "4ba00331d6ceeaf901ef40eb04f165d578860b125641fb429511698c8c471d87"),
+    (("--p", "101", "--N", "9", "--L", "4", "--trials", "30"),
+     "e1ebcf0526066b284096eaa1b8f9f58610339b8bdd6ee7f915d9af4da7f46d67"),
 ]
 SIMULATE_IDS = ["-".join(args[1:6:2]) + ("-points" if "--alpha" in args else "")
                 for args, _ in SIMULATE_DIGESTS]
@@ -234,13 +243,13 @@ def test_simulate_bytes_are_pinned(tmp_path, capsys, args, digest):
 
 
 def _tamper_with_m_q(monkeypatch):
-    """Make simulate at p=13, N=6, L=2 run on a box with one M_Q entry bumped."""
+    """Make simulate at p=13, N=6, L=2 run on a channel with one M_Q entry bumped."""
     params = QcsaParams.default(PrimeField(13), 6, 2)
     system = build_qcsa_system(params)
     bumped = system.box.M.array.copy()
     bumped[3, 7] += 1
     tampered = replace(system, box=replace(system.box, M=FieldMatrix(params.field, bumped)))
-    monkeypatch.setattr("qcsa.scheme.build_qcsa_system", lambda _: tampered)
+    monkeypatch.setattr("qcsa.scheme.qcsa_channel", lambda _: (tampered.v, tampered.box.M))
     return params, tampered
 
 
@@ -482,8 +491,8 @@ def _refuse(params):
 
 @pytest.mark.parametrize("argv", INVALID_SIMULATIONS.values(), ids=INVALID_SIMULATIONS)
 def test_an_invalid_simulate_leaves_an_existing_out_untouched(tmp_path, monkeypatch, argv):
-    # The system is built before --out is opened, so its errors count too.
-    monkeypatch.setattr("qcsa.scheme.build_qcsa_system", _refuse)
+    # The channel is built before --out is opened, so its errors count too.
+    monkeypatch.setattr("qcsa.scheme.qcsa_channel", _refuse)
     out = tmp_path / "trials.jsonl"
     out.write_bytes(b"an earlier run\n")
     assert run_cli("simulate", "--p", "13", "--N", "4", "--L", "2", *argv, "--out", str(out)) == 2
@@ -503,6 +512,20 @@ def test_simulate_memory_stays_flat_in_trials(tmp_path, capsys):
         tracemalloc.stop()
     assert peak < 8_000_000, peak
     assert capsys.readouterr().err.startswith("20000/20000 trials passed")
+
+
+def test_simulate_builds_only_the_channel(tmp_path, capsys):
+    """simulate builds v and M_Q, not Qu, Qv, G, H or the Block-Diag of
+    C^{-1}: one trial at N = 256 traces under 5 MB, where the whole bundle took 7.2 MB."""
+    tracemalloc.start()
+    try:
+        assert run_cli("simulate", "--p", "65521", "--N", "256", "--L", "64", "--trials", "1",
+                       "--out", str(tmp_path / "trials.jsonl")) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+    assert capsys.readouterr().err.startswith("1/1 trials passed")
 
 
 def test_construct_memory_holds_no_int_lists(tmp_path):

@@ -16,7 +16,7 @@ from qcsa.codes import (
     qcsa_matrix,
     qcsa_trailing_block,
 )
-from qcsa.field import PrimeField
+from qcsa.field import PrimeField, next_prime
 from qcsa.matrix import FieldMatrix, hstack
 
 from oracles import adjugate_inverse, csa_entries, dual_mult, grs_entries, qcsa_entries
@@ -144,6 +144,34 @@ def test_closed_form_csa_inverse_at_the_benchmark_sizes(n, l, p):
     _check_closed_form_inverse(p, range(n), range(n, n + l))
     drawn = np.random.default_rng(n).choice(p, size=n + l, replace=False).tolist()
     _check_closed_form_inverse(p, drawn[:n], drawn[n:])
+
+
+def _check_tail_rows(p, alpha, f):
+    """tail=k keeps the full inverse's first L rows and its last k rows, in that order."""
+    n, l = len(alpha), len(f)
+    c = csa_matrix(PrimeField(p), alpha, f)
+    full = _csa_inverse(c, alpha, f).array
+    for k in (0, 1, (n + 1) // 2 - l, n - l):
+        rows = _csa_inverse(c, alpha, f, k).array
+        assert rows.tolist() == full[:l].tolist() + full[n - k:].tolist(), (p, alpha, f, k)
+
+
+@pytest.mark.parametrize("modulus", ["next-prime", 101, 2**31 - 1])
+def test_a_csa_inverse_tail_is_the_full_inverse_cut(modulus):
+    """Every 2 <= N <= 16 and 1 <= L <= N/2, at default and at random points."""
+    for n in range(2, 17):
+        for l in range(1, n // 2 + 1):
+            p = next_prime(n + l) if modulus == "next-prime" else modulus
+            drawn = np.random.default_rng((n, l, p)).choice(p, size=n + l, replace=False).tolist()
+            for points in (tuple(range(n + l)), tuple(drawn)):
+                _check_tail_rows(p, points[:n], points[n:])
+
+
+@pytest.mark.parametrize("n,l,p", [(256, 64, 65521), (255, 64, 2**31 - 1)])
+def test_a_csa_inverse_tail_is_the_full_inverse_cut_at_the_benchmark_sizes(n, l, p):
+    drawn = np.random.default_rng(n).choice(p, size=n + l, replace=False).tolist()
+    for points in (tuple(range(n + l)), tuple(drawn)):
+        _check_tail_rows(p, points[:n], points[n:])
 
 
 def test_csa_matrix_rejects_collisions():

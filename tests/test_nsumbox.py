@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcsa.codes import ParameterError, QcsaParams, dual_multipliers, qcsa_matrix
-from qcsa.field import PrimeField
+from qcsa.field import PrimeField, next_prime
 from qcsa.matrix import FieldMatrix, Permutation, block_diag, hstack
 from qcsa.nsumbox import (
     DualityViolationError,
@@ -17,13 +17,21 @@ from qcsa.nsumbox import (
     channel_from_gh,
     gh_column_permutation,
     is_sso,
+    qcsa_channel,
     selector_matrix,
     selector_row_indices,
     verify_box,
     verify_system,
 )
 
-from oracles import adjugate_inverse, matmul, permutation_entries, symplectic_entries
+from oracles import (
+    adjugate_inverse,
+    block_diag_channel,
+    dual_mult,
+    matmul,
+    permutation_entries,
+    symplectic_entries,
+)
 from test_acceptance import GRID, PAIR_GRID
 
 GF5 = PrimeField(5)
@@ -533,3 +541,27 @@ def test_block_checks_match_dense_formulas(n, l, q):
             assert selector == dense_selector_identity(replace(system, box=box))
             seen.add((dense, selector))
     assert seen >= {(True, True), (True, False)}
+
+
+def _check_channel(params):
+    v, m = qcsa_channel(params)
+    assert list(v) == dual_mult(list(params.alpha), list(params.beta), params.field.p)
+    assert m == block_diag_channel(params), (params.field.p, params.N, params.L)
+
+
+@pytest.mark.parametrize("modulus", ["next-prime", 101, 2**31 - 1])
+def test_the_channel_equals_the_block_diag_assembly_for_every_small_shape(modulus):
+    """Every 2 <= N <= 16 and 1 <= L <= N/2, at default and at random points."""
+    for n in range(2, 17):
+        for l in range(1, n // 2 + 1):
+            field = PrimeField(next_prime(n + l) if modulus == "next-prime" else modulus)
+            rng = np.random.default_rng((n, l, field.p))
+            for params in (QcsaParams.default(field, n, l), QcsaParams.random(field, n, l, rng)):
+                _check_channel(params)
+
+
+@pytest.mark.parametrize("n,l,p", [(256, 64, 65521), (255, 64, 2**31 - 1)])
+def test_the_channel_equals_the_block_diag_assembly_at_the_benchmark_sizes(n, l, p):
+    field = PrimeField(p)
+    _check_channel(QcsaParams.default(field, n, l))
+    _check_channel(QcsaParams.random(field, n, l, np.random.default_rng(n)))

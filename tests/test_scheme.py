@@ -214,7 +214,7 @@ def test_trial_blocks_checks_its_seed_before_building(seed, error, message, tria
     # run_trials once recorded seed -1 at 0 trials, and at 3 raised the
     # stream's bare ValueError; trial_blocks raised nothing until iterated.
     builds = []
-    monkeypatch.setattr(scheme, "build_qcsa_system", lambda *args: builds.append(args))
+    monkeypatch.setattr(scheme, "qcsa_channel", lambda *args: builds.append(args))
     params = QcsaParams.default(GF13, 4, 2)
     with pytest.raises(error, match=message):
         trial_blocks(params, seed, trials)
@@ -226,7 +226,7 @@ def test_trial_blocks_checks_its_seed_before_building(seed, error, message, tria
 def test_trial_blocks_checks_its_trial_count_before_building(monkeypatch):
     # A float count once passed the call and raised only when iterated.
     builds = []
-    monkeypatch.setattr(scheme, "build_qcsa_system", lambda *args: builds.append(args))
+    monkeypatch.setattr(scheme, "qcsa_channel", lambda *args: builds.append(args))
     params = QcsaParams.default(GF13, 4, 2)
     for call in (trial_blocks, run_trials):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcsa import codes, field, matrix, scheme, stream  # stream is otherwise loaded lazily
+from qcsa import codes, field, matrix, nsumbox, scheme, stream  # stream is otherwise loaded lazily
 from qcsa.cli import main  # loads every other qcsa module
 
 QCSA_MODULES = [module for name, module in sys.modules.items()
@@ -99,12 +99,12 @@ def test_dropped_parameters_take_their_matrices_with_them():
     """No table outlives a system: 20 dropped N = 128 builds leave under 1 MB traced."""
     gf = field.PrimeField(65521)
     rng = np.random.default_rng(22)
-    scheme.build_qcsa_system(codes.QcsaParams.random(gf, 128, 32, rng))
+    nsumbox.build_qcsa_system(codes.QcsaParams.random(gf, 128, 32, rng))
     gc.collect()
     tracemalloc.start()
     try:
         for _ in range(20):
-            system = scheme.build_qcsa_system(codes.QcsaParams.random(gf, 128, 32, rng))
+            system = nsumbox.build_qcsa_system(codes.QcsaParams.random(gf, 128, 32, rng))
             system._trial_engine.run(np.ones((256, 1), dtype=np.int64))
             del system
         gc.collect()
@@ -144,7 +144,7 @@ def test_simulate_draws_a_block_without_per_trial_seed_work(tmp_path, monkeypatc
 def test_a_round_trip_builds_no_report(monkeypatch):
     """A round trip keeps what it ran: only its to_dict encodes the params and costs."""
     params = codes.QcsaParams.default(field.PrimeField(2**31 - 1), 12, 5)
-    system = scheme.build_qcsa_system(params)
+    system = nsumbox.build_qcsa_system(params)
     to_dict = _count(monkeypatch, codes.QcsaParams, "to_dict")
     costs = _count(monkeypatch, scheme, "trial_costs")
     results = [scheme.qcsa_roundtrip(params, (7, t), system) for t in range(3)]
