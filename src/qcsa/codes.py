@@ -142,16 +142,17 @@ def csa_matrix(field: PrimeField, alpha, f) -> FieldMatrix:
     return FieldMatrix(field, out)
 
 
-def _csa_inverse(csa: FieldMatrix, alpha: tuple, f: tuple, tail=None) -> FieldMatrix:
-    """The N x N inverse of the CSA matrix ``csa`` of (alpha, f), in closed form.
+def _csa_inverse(csa: FieldMatrix, alpha: tuple, f: tuple, tail=None) -> tuple:
+    """The inverse of the CSA matrix ``csa`` of (alpha, f), in closed form, as (R Diag(F), d).
 
-    With K = C[:, :L] and V = C[:, L:], C^{-1} = [-Diag(s) K^T ; J T V^T] Diag(c)
-    (Finck, Heinig & Rost, Linear Algebra Appl. 183, 1993), where
-    c_n = prod_j (alpha_n - f_j) / prod_{m != n} (alpha_n - alpha_m),
+    With K = C[:, :L] and V = C[:, L:], C^{-1} = R Diag(F) Diag(d)^{-1} for
+    R = [-Diag(s) K^T ; J T V^T] (Finck, Heinig & Rost, Linear Algebra Appl. 183, 1993),
+    where F_n = prod_j (alpha_n - f_j), d_n = prod_{m != n} (alpha_n - alpha_m),
     s_j = prod_m (f_j - alpha_m) / prod_{i != j} (f_j - f_i), T is the
     lower-triangular Toeplitz matrix of the first N - L coefficients of the
     series prod_m (1 - alpha_m x) / prod_j (1 - f_j x), and J reverses rows.
-    With ``tail``, only the first L rows and the last ``tail`` rows of C^{-1}
+    d stays uninverted, since the dual multipliers v = 1/(u d) take it as it is.
+    With ``tail``, only the first L rows and the last ``tail`` rows of R Diag(F)
     are built, in that order, and the series stops after ``tail`` coefficients.
     """
     p, n, l = csa.field.p, len(alpha), len(f)
@@ -160,8 +161,7 @@ def _csa_inverse(csa: FieldMatrix, alpha: tuple, f: tuple, tail=None) -> FieldMa
     # each without the factor z_i - z_i.
     z = np.array(alpha + f, dtype=np.int64)
     to_alpha, to_f = _difference_products(z, z[:n], p), _difference_products(z, z[n:], p)
-    inv = inverse_residues(np.concatenate([to_alpha[:n], to_f[n:]]), p)
-    c, s = to_f[:n] * inv[:n] % p, to_alpha[n:] * inv[n:] % p
+    s = to_alpha[n:] * inverse_residues(to_f[n:], p) % p
     # The series mod x**tail: the numerator's coefficients, then a division
     # by the degree-L denominator, one coefficient g_k at a time.  Row k of
     # T V^T is g_k + Diag(alpha) times row k - 1; J puts it at N - L - 1 - k.
@@ -176,7 +176,7 @@ def _csa_inverse(csa: FieldMatrix, alpha: tuple, f: tuple, tail=None) -> FieldMa
     for k, e in enumerate(num.tolist()):
         g.append((e - sum(map(mul, den, reversed(g[max(0, k - l):])))) % p)
         row = rows[tail - 1 - k] = (g[-1] + z[:n] * row) % p
-    return FieldMatrix(csa.field, np.vstack([-s[:, None] * csa.array[:, :l].T % p, rows]) * c)
+    return np.vstack([-s[:, None] * csa.array[:, :l].T % p, rows]) * to_f[:n] % p, to_alpha[:n]
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,9 @@ class QcsaParams:
 
     @cached_property
     def csa_inverse(self) -> FieldMatrix:
-        """C^{-1}, which classical decoding and M_Q share, built on first use and kept."""
-        return _csa_inverse(self.csa, self.alpha, self.f)
+        """C^{-1}, for classical decoding, built on first use and kept."""
+        rows, d = _csa_inverse(self.csa, self.alpha, self.f)
+        return FieldMatrix(self.field, rows * inverse_residues(d, self.field.p))
 
     @property
     def half_ceil(self) -> int:

@@ -24,11 +24,13 @@ Qv = Diag(v) C for the one CSA matrix C, M's top rows are selected rows
 of C^{-1} Diag(u)^{-1} and its bottom rows selected rows of
 C^{-1} Diag(v)^{-1}, so the synthesis never inverts a 2N x 2N matrix.
 ``qcsa_channel`` builds v and M alone, all the :mod:`qcsa.scheme` trial engine
-reads besides u and C; ``build_qcsa_system`` is that channel plus Qu, Qv, G and H.
+reads besides u and C, with v = 1/(u d) for the closed-form C^{-1}'s products
+d_n = prod_{m != n} (alpha_n - alpha_m); ``build_qcsa_system`` adds Qu, Qv, G and H.
 ``build_qcsa_box`` checks a supplied pair against that system, with the
 pair checks of ``verify_system``.
 
-``verify_system`` re-checks a bundle through the same algebra.  When pi is
+``verify_system`` re-checks a bundle through the same algebra, but takes v
+from the GRS dual formula (``codes.dual_multipliers``).  When pi is
 the layout, [G H] is the gather of Block-Diag(Qu, Qv) and Qu, Qv are the
 pair the parameters give, rank G = N, G^T J G = 0, rank [G H] = 2N, MG = 0
 and MH = I follow from the parameter, duality, gather and selector checks
@@ -286,21 +288,23 @@ class QcsaSystem:
 def qcsa_channel(params: QcsaParams) -> tuple:
     """v and the channel matrix M_Q of :func:`build_qcsa_system`, without Qu, Qv, G or H.
 
-    M_Q is the selector's rows of Block-Diag(C^{-1} Diag(u)^{-1}, C^{-1} Diag(v)^{-1}):
-    its top floor(N/2) rows are rows [0, L) and [L + ceil(N/2), N) of C^{-1} Diag(u)^{-1},
-    in columns [0, N), and its bottom ceil(N/2) rows are rows [0, L) and
-    [L + floor(N/2), N) of C^{-1} Diag(v)^{-1}, in columns [N, 2N).  So only the
-    first L and the last ceil(N/2) - L rows of C^{-1} are built.
+    M_Q is the selector's rows of Block-Diag(C^{-1} Diag(u)^{-1}, C^{-1} Diag(v)^{-1}).
+    With C^{-1} = R Diag(F) Diag(d)^{-1} from :func:`codes._csa_inverse` and v = 1/(u d),
+    those blocks are R Diag(F v) and R Diag(F u), so u d is the one vector inverted.
+    M_Q's top floor(N/2) rows are rows [0, L) and [L + ceil(N/2), N) of R Diag(F v), in
+    columns [0, N), and its bottom ceil(N/2) rows are rows [0, L) and [L + floor(N/2), N)
+    of R Diag(F u), in columns [N, 2N).  So only the first L and the last
+    ceil(N/2) - L rows of R Diag(F) are built.
     """
     n, l, floor, p = params.N, params.L, params.half_floor, params.field.p
-    v = dual_multipliers(params.field, params.alpha, params.beta)
-    rows = _csa_inverse(params.csa, params.alpha, params.f, params.half_ceil - l).array
-    u_inv, v_inv = inverse_residues(np.array([params.beta, v], dtype=np.int64), p)
+    rows, d = _csa_inverse(params.csa, params.alpha, params.f, params.half_ceil - l)
+    u = np.array(params.beta, dtype=np.int64)
+    v = inverse_residues(u * d % p, p)
     m = np.zeros((n, 2 * n), dtype=np.int64)
-    m[:l, :n] = rows[:l] * u_inv % p
-    m[l:floor, :n] = rows[l + n % 2:] * u_inv % p  # odd N: C^{-1} row L + N // 2 is bottom's only
-    m[floor:, n:] = rows * v_inv % p
-    return v, FieldMatrix._from_canonical(params.field, m)
+    m[:l, :n] = rows[:l] * v % p
+    m[l:floor, :n] = rows[l + n % 2:] * v % p  # odd N: C^{-1} row L + N // 2 is bottom's only
+    m[floor:, n:] = rows * u % p
+    return tuple(v.tolist()), FieldMatrix._from_canonical(params.field, m)
 
 
 def build_qcsa_system(params: QcsaParams) -> QcsaSystem:
@@ -360,11 +364,11 @@ def _shapes(box: NSumBox) -> bool:
     return box.M.shape == (n, 2 * n) and box.G.shape == (2 * n, n) and box.H.shape == (2 * n, n)
 
 
-def _box_checks(box: NSumBox, proven: tuple | None = None) -> dict:
-    """The seven box checks, ``shapes`` to ``m_inverts_h``, computed from the box.
+def verify_box(box: NSumBox, *, proven: tuple | None = None) -> dict:
+    """Re-check the seven feasibility invariants of a (possibly deserialized) box.
 
-    ``proven`` replaces that by the verdicts (MG = 0, MH = I, G^T J G = 0) of
-    a premise that also proves rank G = N and rank [G H] = 2N.
+    ``proven`` replaces computing MG = 0, MH = I and G^T J G = 0 by the verdicts
+    of a premise that also proves rank G = N and rank [G H] = 2N.
     """
     n = box.N
     checks = {"shapes": _shapes(box)}
@@ -392,11 +396,6 @@ def _box_checks(box: NSumBox, proven: tuple | None = None) -> dict:
     checks["m_annihilates_g"] = annihilates
     checks["m_inverts_h"] = inverts
     return checks
-
-
-def verify_box(box: NSumBox) -> dict:
-    """Re-check the feasibility invariants of a (possibly deserialized) box."""
-    return _box_checks(box)
 
 
 def verify_system(system: QcsaSystem) -> dict:
@@ -434,23 +433,21 @@ def verify_system(system: QcsaSystem) -> dict:
         and checks["qu_matches_params"]
         and checks["qv_matches_dual"]
     )
-    if premise:
-        # Premise P: [G H] is Block-Diag(Qu, Qv) gathered at the layout,
-        # with Qu = Diag(u) C and Qv = Diag(v) C for the recomputed v.
-        # QcsaParams makes alpha and f distinct and u nonzero, and each v_j
-        # is an inverse, so nonzero.  Under P:
-        # - G = Block-Diag(Gamma_top, Gamma_bot), each block Diag(nonzero)
-        #   times a Vandermonde matrix on the distinct alpha with at most N
-        #   columns, so rank G = ceil(N/2) + floor(N/2) = N.
-        # - X = G_bot^T G_top has Gamma_bot^T Gamma_top as its only nonzero
-        #   block, off the diagonal, so X = X^T iff Gamma_top^T Gamma_bot = 0,
-        #   which is grs_duality.
-        # - C is invertible (N + L distinct points), hence so are Qu, Qv
-        #   and [G H]: rank [G H] = 2N.
-        # - M [G H] = W gathered at the layout, so MG = 0 and MH = I are
-        #   the two halves of selector_identity.
-        checks.update(_box_checks(box, (annihilates, inverts, checks["grs_duality"])))
-    else:
-        checks.update(verify_box(box))
+    # Premise P: [G H] is Block-Diag(Qu, Qv) gathered at the layout,
+    # with Qu = Diag(u) C and Qv = Diag(v) C for the recomputed v.
+    # QcsaParams makes alpha and f distinct and u nonzero, and each v_j
+    # is an inverse, so nonzero.  Under P:
+    # - G = Block-Diag(Gamma_top, Gamma_bot), each block Diag(nonzero)
+    #   times a Vandermonde matrix on the distinct alpha with at most N
+    #   columns, so rank G = ceil(N/2) + floor(N/2) = N.
+    # - X = G_bot^T G_top has Gamma_bot^T Gamma_top as its only nonzero
+    #   block, off the diagonal, so X = X^T iff Gamma_top^T Gamma_bot = 0,
+    #   which is grs_duality.
+    # - C is invertible (N + L distinct points), hence so are Qu, Qv
+    #   and [G H]: rank [G H] = 2N.
+    # - M [G H] = W gathered at the layout, so MG = 0 and MH = I are
+    #   the two halves of selector_identity.
+    proven = (annihilates, inverts, checks["grs_duality"]) if premise else None
+    checks.update(verify_box(box, proven=proven))
     checks.update(tail)
     return checks

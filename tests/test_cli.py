@@ -156,6 +156,13 @@ def test_verify_malformed_file(tmp_path, capsys):
         assert f"cannot read bundle {path}" in capsys.readouterr().err
 
 
+WIDE_U = ",".join(map(str, range(2, 257)))
+
+
+def _points_id(args) -> str:
+    return "-points" if "--alpha" in args else "-u" if "--u" in args else ""
+
+
 # SHA-256 of `qcsa construct` stdout, recorded from the construction that
 # inverted the 2N x 2N Block-Diag(Qu, Qv), so they hold the C^{-1} route to
 # the same bytes.
@@ -185,9 +192,16 @@ CONSTRUCT_DIGESTS = [
     # hold 95, 95 and 47 runs of 16 or more zeros.
     (("--N", "48", "--L", "12", "--p", "65521"),
      "59fb4a466834758178f70c70a7ed8825362a9adc3b37167b8926ee77061311f0"),
+    # Recorded when v came from the GRS dual formula and M_Q's multipliers
+    # from one batch inverse of [u; v]: non-unit u at the benchmark's two
+    # large shapes, where each v_n = 1/(u_n d_n) has 255 point factors in d_n.
+    (("--N", "255", "--L", "64", "--p", "2147483647", "--u", WIDE_U),
+     "957b39d21f656af87759b2e58c601f5a95eb5f1fe366446a59e29b4b1e256f01"),
+    (("--N", "256", "--L", "64", "--p", "65521",
+      "--u", ",".join(map(str, range(65520, 65264, -1)))),
+     "2aedfb59c8ea42d2ceaca31145eed33684eb30379d249f58ec3908a9154c0fa7"),
 ]
-DIGEST_IDS = ["-".join(args[1:6:2]) + ("-points" if len(args) > 6 else "")
-              for args, _ in CONSTRUCT_DIGESTS]
+DIGEST_IDS = ["-".join(args[1:6:2]) + _points_id(args) for args, _ in CONSTRUCT_DIGESTS]
 
 
 @pytest.mark.parametrize("args,digest", CONSTRUCT_DIGESTS, ids=DIGEST_IDS)
@@ -229,9 +243,11 @@ SIMULATE_DIGESTS = [
      "4ba00331d6ceeaf901ef40eb04f165d578860b125641fb429511698c8c471d87"),
     (("--p", "101", "--N", "9", "--L", "4", "--trials", "30"),
      "e1ebcf0526066b284096eaa1b8f9f58610339b8bdd6ee7f915d9af4da7f46d67"),
+    # Recorded with CONSTRUCT_DIGESTS' non-unit u at N = 255.
+    (("--p", "2147483647", "--N", "255", "--L", "64", "--u", WIDE_U, "--trials", "20"),
+     "264161e4505ae1ce17e7428e7858af9ca9fb383a0506b21719050ff1b18a6286"),
 ]
-SIMULATE_IDS = ["-".join(args[1:6:2]) + ("-points" if "--alpha" in args else "")
-                for args, _ in SIMULATE_DIGESTS]
+SIMULATE_IDS = ["-".join(args[1:6:2]) + _points_id(args) for args, _ in SIMULATE_DIGESTS]
 
 
 @pytest.mark.parametrize("args,digest", SIMULATE_DIGESTS, ids=SIMULATE_IDS)

@@ -19,7 +19,7 @@ from qcsa.codes import (
 from qcsa.field import PrimeField, next_prime
 from qcsa.matrix import FieldMatrix, hstack
 
-from oracles import adjugate_inverse, csa_entries, dual_mult, grs_entries, qcsa_entries
+from oracles import adjugate_inverse, csa_entries, dual_mult, grs_entries, inv_mod, qcsa_entries
 from test_acceptance import GRID, PAIR_GRID
 
 GF5 = PrimeField(5)
@@ -108,10 +108,16 @@ def test_csa_matrix_matches_entry_formula_and_is_invertible():
         assert m.rank() == n
 
 
+def _closed_form(c, alpha, f, tail=None) -> FieldMatrix:
+    """The rows of C^{-1} that ``_csa_inverse`` builds: its R Diag(F) times Diag(d)^{-1}."""
+    rows, d = _csa_inverse(c, tuple(alpha), tuple(f), tail)
+    return FieldMatrix(c.field, rows * [inv_mod(x, c.field.p) for x in d.tolist()])
+
+
 def _check_closed_form_inverse(p, alpha, f):
     """The closed-form C^{-1} against Gauss-Jordan, and for N <= 4 the adjugate."""
     c = csa_matrix(PrimeField(p), alpha, f)
-    inv = _csa_inverse(c, tuple(alpha), tuple(f))
+    inv = _closed_form(c, alpha, f)
     assert inv == c.inverse(), (p, alpha, f)
     if len(alpha) <= 4:
         assert inv.array.tolist() == adjugate_inverse(c.array.tolist(), p), (p, alpha, f)
@@ -150,9 +156,9 @@ def _check_tail_rows(p, alpha, f):
     """tail=k keeps the full inverse's first L rows and its last k rows, in that order."""
     n, l = len(alpha), len(f)
     c = csa_matrix(PrimeField(p), alpha, f)
-    full = _csa_inverse(c, alpha, f).array
+    full = _closed_form(c, alpha, f).array
     for k in (0, 1, (n + 1) // 2 - l, n - l):
-        rows = _csa_inverse(c, alpha, f, k).array
+        rows = _closed_form(c, alpha, f, k).array
         assert rows.tolist() == full[:l].tolist() + full[n - k:].tolist(), (p, alpha, f, k)
 
 

@@ -68,14 +68,26 @@ def bundle(tmp_path):
     return path
 
 
-def test_construct_derives_v_and_the_pair_once(tmp_path, monkeypatch):
-    """v once, and Qu and Qv both from the one C."""
-    _clear_caches()
+def test_construct_derives_v_and_the_pair_once(bundle, tmp_path, monkeypatch, capsys):
+    """construct and simulate take v from C^{-1}'s own point products, z against
+    alpha and z against f, and never call dual_multipliers; verify derives v
+    from the GRS dual formula once, as its cross-check.  Qu and Qv come from
+    the one C, and the modulus is tested once."""
+    products = _count(monkeypatch, codes, "_difference_products")
     duals = _count(monkeypatch, codes, "dual_multipliers")
     csa = _count(monkeypatch, codes, "csa_matrix")
     rounds = _primality_tests(monkeypatch)
-    assert main(["construct", *POINT, "--out", str(tmp_path / "b.json")]) == 0
-    assert (len(duals), len(csa), len(rounds) / len(field._MR_BASES)) == (1, 1, 1)
+    counts = {}
+    for argv in (["construct", *POINT, "--out", str(tmp_path / "b.json")],
+                 ["verify", str(bundle)],
+                 ["simulate", *POINT, "--trials", "100", "--out", str(tmp_path / "t.jsonl")]):
+        _clear_caches()
+        assert main(argv) == 0
+        counts[argv[0]] = (len(products), len(duals), len(csa), len(rounds) / len(field._MR_BASES))
+        for calls in (products, duals, csa, rounds):
+            calls.clear()
+    assert counts == {"construct": (2, 0, 1, 1), "verify": (1, 1, 1, 1), "simulate": (2, 0, 1, 1)}
+    assert capsys.readouterr().out.endswith("14/14 checks passed\n")
 
 
 def test_each_command_builds_c_once_and_its_inverse_at_most_once(bundle, tmp_path,
