@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .codes import ParameterError, qcsa_matrix
+from .codes import ParameterError
 from .field import PrimeField
 from .nsumbox import QcsaSystem, build_qcsa_system, verify_system
 from .scheme import (rate_report, reduce_servers, reduced_params, trial_blocks, trial_costs,
@@ -220,10 +220,12 @@ def cmd_construct(args) -> int:
     if reduce_servers(args.N, args.L) != (args.N, args.L):
         raise ParameterError(f"L={args.L} exceeds N/2={args.N / 2}; not constructible")
     params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
+    if args.beta and (len(args.beta) != args.N or 0 in (b % field.p for b in args.beta)):
+        raise ParameterError(f"--beta needs N={args.N} entries nonzero mod p, got {args.beta}")
     bundle = build_qcsa_system(params)._doc()
     bundle["seed"] = args.seed
     if args.beta is not None:
-        bundle["Q_beta"] = qcsa_matrix(params.with_beta(args.beta))._doc()
+        bundle["Q_beta"] = params.csa.scale_rows(args.beta)._doc()
     with _output(args.out) as out:
         out.writelines(_json_chunks(bundle))
         out.write("\n")

@@ -26,8 +26,7 @@ C^{-1} Diag(v)^{-1}, so the synthesis never inverts a 2N x 2N matrix.
 ``qcsa_channel`` builds v and M alone, all the :mod:`qcsa.scheme` trial engine
 reads besides u and C, with v = 1/(u d) for the closed-form C^{-1}'s products
 d_n = prod_{m != n} (alpha_n - alpha_m); ``build_qcsa_system`` adds Qu, Qv, G and H.
-``build_qcsa_box`` checks a supplied pair against that system, with the
-pair checks of ``verify_system``.
+``build_qcsa_box`` checks a supplied pair against that system's own Qu and Qv.
 
 ``verify_system`` re-checks a bundle through the same algebra, but takes v
 from the GRS dual formula (``codes.dual_multipliers``).  When pi is
@@ -336,27 +335,20 @@ def build_qcsa_box(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams) -> NSum
     system's Diag(u) C and Qv its Diag(v) C (ParameterError each).
     """
     system = build_qcsa_system(params)
-    checks = _pair_checks(qu, qv, params, system.v)
-    if not checks["grs_duality"]:
-        raise DualityViolationError(
-            "GRS blocks of the supplied pair are not mutually orthogonal"
-        )
-    if not checks["qu_matches_params"]:
+    if not _grs_duality(qu, qv, params):
+        raise DualityViolationError("GRS blocks of the supplied pair are not mutually orthogonal")
+    if qu != system.qu:
         raise ParameterError("Qu does not match the matrix rebuilt from (alpha, u, f)")
-    if not checks["qv_matches_dual"]:
+    if qv != system.qv:
         raise ParameterError("Qv does not match the dual matrix rebuilt from (alpha, u, f)")
     return system.box
 
 
-def _pair_checks(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams, v: tuple) -> dict:
-    """The pair checks of ``verify_system``, in its order; ``v`` is the dual of ``params.beta``."""
+def _grs_duality(qu: FieldMatrix, qv: FieldMatrix, params: QcsaParams) -> bool:
+    """Gamma_top^T Gamma_bot = 0, after ``qcsa_grs_submatrix``'s shape and field checks."""
     gamma_top = qcsa_grs_submatrix(qu, params, params.half_ceil)
     gamma_bot = qcsa_grs_submatrix(qv, params, params.half_floor)
-    return {
-        "qu_matches_params": qu == qcsa_matrix(params),
-        "qv_matches_dual": qv == params.csa.scale_rows(v),
-        "grs_duality": (gamma_top.T @ gamma_bot).is_zero(),
-    }
+    return (gamma_top.T @ gamma_bot).is_zero()
 
 
 def _shapes(box: NSumBox) -> bool:
@@ -410,8 +402,12 @@ def verify_system(system: QcsaSystem) -> dict:
     field, n, l = params.field, params.N, params.L
     box = system.box
     v = dual_multipliers(field, params.alpha, params.beta)
-    checks = {"dual_multipliers": tuple(system.v) == v}
-    checks.update(_pair_checks(system.qu, system.qv, params, v))
+    checks = {
+        "dual_multipliers": tuple(system.v) == v,
+        "qu_matches_params": system.qu == qcsa_matrix(params),
+        "qv_matches_dual": system.qv == params.csa.scale_rows(v),
+        "grs_duality": _grs_duality(system.qu, system.qv, params),
+    }
     layout = _layout(n, l)
     cols = np.array(layout) - 1
     tail = {"pi_present": box.pi is not None}
@@ -419,7 +415,7 @@ def verify_system(system: QcsaSystem) -> dict:
         tail["gh_is_permuted_blockdiag"] = tail["selector_identity"] = False
     if tail["pi_present"] and _shapes(box):
         gathered = block_diag([system.qu, system.qv]).take_columns(np.array(box.pi.image) - 1)
-        tail["gh_is_permuted_blockdiag"] = hstack([box.G, box.H]) == gathered
+        tail["gh_is_permuted_blockdiag"] = box.G == gathered[:, :n] and box.H == gathered[:, n:]
         # W = M Block-Diag(Qu, Qv) = [M_left Qu | M_right Qv], without the
         # zero blocks.  The selector's columns at the layout are (0 I), so
         # W equals it iff W's layout columns are 0 and then I.

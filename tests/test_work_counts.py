@@ -107,6 +107,35 @@ def test_each_command_builds_c_once_and_its_inverse_at_most_once(bundle, tmp_pat
     assert capsys.readouterr().out.endswith("14/14 checks passed\n")
 
 
+def test_construct_beta_scales_the_one_c(tmp_path, monkeypatch):
+    """Q_beta is Diag(beta) C for the C the bundle was built from: no second C."""
+    csa = _count(monkeypatch, codes, "csa_matrix")
+    inverses = _count(monkeypatch, codes, "_csa_inverse")
+    _clear_caches()
+    beta = ",".join(map(str, range(2, 14)))
+    assert main(["construct", *POINT, "--beta", beta, "--out", str(tmp_path / "b.json")]) == 0
+    assert (len(csa), len(inverses)) == (1, 1)
+
+
+def test_build_qcsa_box_checks_the_pair_its_system_built(monkeypatch):
+    """The supplied pair is compared with the system's own Qu and Qv, not a second copy."""
+    params = codes.QcsaParams.default(field.PrimeField(2**31 - 1), 12, 5)
+    system = nsumbox.build_qcsa_system(params)
+    pairs = _count(monkeypatch, codes, "qcsa_matrix")
+    scalings = _count(monkeypatch, matrix.FieldMatrix, "scale_rows")
+    assert nsumbox.build_qcsa_box(system.qu, system.qv, params) == system.box
+    assert (len(pairs), len(scalings)) == (1, 2)
+
+
+def test_verify_stacks_only_the_w_product(bundle, monkeypatch, capsys):
+    """G and H are compared with the halves of the gather, not with a copy of [G H]."""
+    _clear_caches()
+    stacks = _count(monkeypatch, matrix, "hstack")
+    assert main(["verify", str(bundle)]) == 0
+    assert len(stacks) == 1
+    assert capsys.readouterr().out.endswith("14/14 checks passed\n")
+
+
 def test_dropped_parameters_take_their_matrices_with_them():
     """No table outlives a system: 20 dropped N = 128 builds leave under 1 MB traced."""
     gf = field.PrimeField(65521)
