@@ -215,11 +215,19 @@ def _field_from_args(args) -> PrimeField:
         raise ParameterError(str(exc))
 
 
+def _point_params(field: PrimeField, args):
+    """``reduced_params`` of the point flags; an error in --u, the parameters' beta, names --u."""
+    try:
+        return reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
+    except ParameterError as exc:
+        raise ParameterError(f"--u{str(exc)[4:]}") if str(exc).startswith("beta ") else exc
+
+
 def cmd_construct(args) -> int:
     field = _field_from_args(args)
     if reduce_servers(args.N, args.L) != (args.N, args.L):
         raise ParameterError(f"L={args.L} exceeds N/2={args.N / 2}; not constructible")
-    params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
+    params = _point_params(field, args)
     if args.beta and (len(args.beta) != args.N or 0 in (b % field.p for b in args.beta)):
         raise ParameterError(f"--beta needs N={args.N} entries nonzero mod p, got {args.beta}")
     bundle = build_qcsa_system(params)._doc()
@@ -361,7 +369,7 @@ def cmd_simulate(args) -> int:
     whose every trial passed writes that text as ``y`` too.
     """
     field = _field_from_args(args)
-    params = reduced_params(field, args.N, args.L, alpha=args.alpha, beta=args.u, f=args.f)
+    params = _point_params(field, args)
     if args.trials < 0:
         raise ParameterError(f"--trials must be nonnegative, got {args.trials}")
     if args.seed < 0:

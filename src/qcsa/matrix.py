@@ -12,7 +12,9 @@ left operand splits, into 11-, 11- and 9-bit limbs (p < 2**31) stacked as
 one 3m x k array; its float64 product with b, per inner chunk of c = 2**11
 columns, stays below c * 2**11 * p <= 2**53, and the row blocks recombine
 as r0 + (r1 mod p) * 2**11 + (r2 mod p) * 2**22 in int64.  ``_prepare``
-splits once what ``_apply`` multiplies, as the trial engine does C and M_Q.
+splits once what ``_apply`` multiplies, and both broadcast a leading stack axis
+(the trial engine's C and M_Q blocks).  ``_reduce`` is ``%``, or from 1024
+entries on x - x // p * p: numpy's ``//`` by a scalar multiplies, its ``%`` not.
 
 Inverse and rank share one Gauss-Jordan row reduction, a single unblocked
 pass with one rank-one update per pivot.  No command runs it on a valid
@@ -32,6 +34,7 @@ from .field import FieldMismatchError, PrimeField
 _F64_EXACT = 2**53
 _SPLIT_BITS = 11
 _SPLIT_CHUNK = 2**11  # the largest c with c * 2**11 * (p-1) <= 2**53 at p = 2**31 - 1
+_REDUCE_BY_DIVISION = 1024  # x % p is faster below this size, x - x // p * p from it on
 
 
 class SingularMatrixError(ArithmeticError):
@@ -39,24 +42,33 @@ class SingularMatrixError(ArithmeticError):
 
 
 def _prepare(a: np.ndarray, p: int) -> np.ndarray:
-    """``_apply``'s float64 left operand: residues ``a`` themselves, or their limbs, 3m x k."""
-    if a.shape[1] * (p - 1) ** 2 < _F64_EXACT:
+    """``_apply``'s left operand: m x k residues ``a`` (or a stack) as float64, or limbs, 3m x k."""
+    if a.shape[-1] * (p - 1) ** 2 < _F64_EXACT:
         return a.astype(np.float64)
-    left = np.empty((3,) + a.shape)  # filled a limb at a time: one int64 temporary at a time
-    for i, limb in enumerate(left):
-        np.bitwise_and(a >> i * _SPLIT_BITS, (1 << _SPLIT_BITS) - 1, out=limb)
-    return left.reshape(-1, a.shape[1])
+    left = np.empty(a.shape[:-2] + (3,) + a.shape[-2:])  # filled a limb at a time
+    for i in range(3):
+        np.bitwise_and(a >> i * _SPLIT_BITS, (1 << _SPLIT_BITS) - 1, out=left[..., i, :, :])
+    return left.reshape(a.shape[:-2] + (3 * a.shape[-2], a.shape[-1]))
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """``x % p`` for nonnegative int64 ``x``, as one new array like ``%`` makes."""
+    if x.size < _REDUCE_BY_DIVISION:
+        return x % p
+    q = x // p
+    return np.subtract(x, np.multiply(q, p, out=q), out=q)
 
 
 def _apply(left: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for ``left = _prepare(a, p)`` and residues ``b``."""
-    inner = left.shape[1]
+    """Exact (a @ b) mod p for ``left = _prepare(a, p)`` and residues ``b``; stacks broadcast."""
+    inner = left.shape[-1]
     if inner * (p - 1) ** 2 < _F64_EXACT:
-        return np.matmul(left, b, dtype=np.float64).astype(np.int64) % p
-    m, c, bits, out = left.shape[0] // 3, _SPLIT_CHUNK, _SPLIT_BITS, 0
+        return _reduce(np.matmul(left, b, dtype=np.float64).astype(np.int64), p)
+    m, c, bits, out = left.shape[-2] // 3, _SPLIT_CHUNK, _SPLIT_BITS, 0
     for k in range(0, inner, c):
-        r = np.matmul(left[:, k:k + c], b[k:k + c], dtype=np.float64).astype(np.int64)
-        out = (out + r[:m] + (r[m:2 * m] % p << bits) + (r[2 * m:] % p << 2 * bits)) % p
+        r = np.matmul(left[..., k:k + c], b[..., k:k + c, :], dtype=np.float64).astype(np.int64)
+        out = _reduce(out + r[..., :m, :] + (_reduce(r[..., m:2 * m, :], p) << bits)
+                      + (_reduce(r[..., 2 * m:, :], p) << 2 * bits), p)
     return out
 
 

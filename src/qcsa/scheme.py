@@ -24,8 +24,8 @@ on the installed numpy);
 One engine reads only u, v, C and M_Q: a given
 :class:`~qcsa.nsumbox.QcsaSystem`'s own v and M_Q, or without one those of
 :func:`qcsa.nsumbox.qcsa_channel`, which builds no Qu, Qv, G or H.  Prepared
-once, it encodes, scales, transmits and compares the stack's trials
-together as N x T products, so ``qcsa_roundtrip(params, (seed, t))``
+once, it runs a stack's trials with their two instances as one stack, through
+C and M_Q's diagonal blocks, so ``qcsa_roundtrip(params, (seed, t))``
 replays any trial of a batch on its own.  :func:`server_scale` and
 :meth:`SchemeInstance.from_symbols` remain the per-server operations, for
 hand-built inputs; no trial runs through them.
@@ -40,7 +40,7 @@ import numpy as np
 
 from .codes import ParameterError, QcsaParams, check_room
 from .field import PrimeField
-from .matrix import FieldMatrix, _apply, _mod_matmul, _prepare, as_residue_vector
+from .matrix import FieldMatrix, _apply, _mod_matmul, _prepare, _reduce, as_residue_vector
 from .nsumbox import QcsaSystem, qcsa_channel, selector_row_indices
 
 RNG_NAME = "pcg64"
@@ -105,29 +105,31 @@ def server_scale(field: PrimeField, a1, a2, u, v) -> np.ndarray:
 class _TrialEngine:
     """One channel's trial pipeline, with everything but the draws prepared once.
 
-    Reads only u (``params.beta``), v, C and M_Q.  Holds the draws of 2N
-    symbols mod p (one seed's column, or a block's 2N x T stack), the stacked
-    multipliers [u; v] (checked nonzero here), the selector gather, and C and
-    M_Q, split once by ``matrix._prepare``.  ``run`` applies them with
-    ``matrix._apply``, whose exactness bounds hold only for canonical
-    residues, so every right operand is reduced mod p first.
+    Reads only u (``params.beta``), v, C and M_Q.  Holds the draws of 2N symbols
+    mod p, the (2, N, 1) multipliers [u; v] (checked nonzero here), the selector
+    gather, C, and M_Q's top floor(N/2) rows in instance 1's columns over its
+    bottom ceil(N/2) in instance 2's (the off-diagonal blocks only if nonzero),
+    split once by ``matrix._prepare`` for ``matrix._apply``, whose exactness
+    bounds hold only for canonical residues: every right operand is reduced first.
     """
 
     def __init__(self, params: QcsaParams, v, m: FieldMatrix):
         # Imported here, not with ``import qcsa``: construct and verify never draw.
         from .stream import column, draws
 
-        field, n, l = params.field, params.N, params.L
-        uv = np.concatenate([as_residue_vector(field, params.beta, n),
-                             as_residue_vector(field, v, n)])
-        if not uv.all():
+        field, n, l, f = params.field, params.N, params.L, params.half_floor
+        self.uv = np.array([as_residue_vector(field, x, n) for x in (params.beta, v)])[..., None]
+        if not self.uv.all():
             raise ParameterError("scaling multipliers must be nonzero")
         self.p, self.n = field.p, n
         self.column = partial(column, p=field.p, count=2 * n)
         self.draws = partial(draws, p=field.p, count=2 * n)
         self.csa = _prepare(params.csa.array, field.p)
-        self.uv = uv[:, None]
-        self.m_q = _prepare(m.array, field.p)
+        a, pad = m.array, np.zeros((n % 2, n), dtype=np.int64)  # odd N's top: a zero row first
+        diag, off = [pad, a[:f, :n], a[f:, n:]], [pad, a[:f, n:], a[f:, :n]]
+        self.m_q = _prepare(np.concatenate(diag).reshape(2, -1, n), field.p)
+        self.m_off = (_prepare(np.concatenate(off).reshape(2, -1, n), field.p)
+                      if any(map(np.count_nonzero, off)) else None)
         self.select = np.asarray(selector_row_indices(n, l)) - 1
 
     def run(self, symbols) -> tuple:
@@ -135,17 +137,19 @@ class _TrialEngine:
 
         Returns three arrays with one column per trial:
 
-        1. encode: the answers A = [C S[:N]; C S[N:]], both instances as the
-           one product C [S[:N] S[N:]];
-        2. scale and transmit: Y = M_Q (Diag(u, v) A mod p);
+        1. encode: the answers A = [C S[:N]; C S[N:]], one product of C with S as (2, N, T);
+        2. scale and transmit: Y = M_Q (Diag(u, v) A mod p), the diagonal blocks against
+           the two instances (any off-diagonal ones against them swapped), less the zero row;
         3. predict: M_Q Block-Diag(Qu, Qv) is the selector, so the expected
            output is the row gather S[selector_row_indices(N, L) - 1].
         """
         n, p, t = self.n, self.p, symbols.shape[1]
-        encoded = _apply(self.csa, np.concatenate([symbols[:n], symbols[n:]], axis=1), p)
-        answers = np.concatenate([encoded[:, :t], encoded[:, t:]])
-        y = _apply(self.m_q, self.uv * answers % p, p)
-        return answers, y, symbols[self.select]
+        answers = _apply(self.csa, symbols.reshape(2, n, t), p)
+        scaled = _reduce(self.uv * answers, p)
+        y = _apply(self.m_q, scaled, p)
+        if self.m_off is not None:
+            y = _reduce(y + _apply(self.m_off, scaled[::-1], p), p)
+        return answers.reshape(2 * n, t), y.reshape(-1, t)[n % 2:], symbols[self.select]
 
 
 def _engine_for(params: QcsaParams, system: QcsaSystem | None) -> _TrialEngine:

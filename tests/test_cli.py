@@ -1176,9 +1176,9 @@ BAD_ARGUMENTS = {
     # simulate reduces (4, 3) to (2, 1); construct refuses it before counting --u.
     "construct-L-past-half-N": (("construct", "--p", "13", "--N", "4", "--L", "3", "--u", "1,1,1"),
                              "error: invalid parameters: L=3 exceeds N/2=2.0; not constructible"),
-    # --u is checked as the parameters' beta, and --beta by construct itself.
+    # --u is checked as the parameters' beta, and --beta by construct itself; both name their flag.
     "construct-u-short": (("construct", "--p", "13", "--N", "4", "--L", "2", "--u", "1,2,3"),
-                          "error: invalid parameters: beta must have N=4 entries, got 3"),
+                          "error: invalid parameters: --u must have N=4 entries, got 3"),
     "construct-beta-short": (("construct", "--p", "13", "--N", "4", "--L", "2", "--beta", "1,2,3"),
                              "error: invalid parameters: "
                              "--beta needs N=4 entries nonzero mod p, got (1, 2, 3)"),
@@ -1347,9 +1347,9 @@ POINT_COUNTS = {
     "extra-points": (("--N", "4", "--L", "2", "--alpha", "0,1,2,3,9", "--f", "7,8,11",
                       "--u", "1,1,1,1,5,6"), "alpha must have N=4 entries, got 5"),
     "extra-f": (("--N", "4", "--L", "2", "--f", "7,8,11"), "f must have L=2 entries, got 3"),
-    "short-u": (("--N", "4", "--L", "2", "--u", "1,1,1"), "beta must have N=4 entries, got 3"),
+    "short-u": (("--N", "4", "--L", "2", "--u", "1,1,1"), "--u must have N=4 entries, got 3"),
     "zero-u": (("--N", "4", "--L", "2", "--u", "1,0,1,1"),
-               "beta entries must be nonzero: (1, 0, 1, 1)"),
+               "--u entries must be nonzero: (1, 0, 1, 1)"),
     "repeated-alpha": (("--N", "4", "--L", "2", "--alpha", "0,1,1,3"),
                        "alpha and f must be 6 pairwise distinct elements of GF(13): "
                        "alpha=(0, 1, 1, 3), f=(4, 5)"),

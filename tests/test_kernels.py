@@ -155,6 +155,47 @@ def test_prepared_operands_match_the_int64_kernel(n, p):
             assert np.array_equal(matrix._apply(left, b, p), int64_matmul(a, b, p)), a.shape
 
 
+def stacked_operands(p, rows, inner, cols, rng):
+    """Two stack entries: the max fill, then random residues."""
+    a, b = operands(p, rows, inner, cols, rng, "max")
+    a2, b2 = operands(p, rows, inner, cols, rng, "random")
+    return np.stack([a, a2]), np.stack([b, b2])
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, MAX_MODULUS])
+@pytest.mark.parametrize("left", ["3-D", "2-D"])
+def test_stacked_products_at_the_split_chunk(p, left):
+    """The trial engine's products: stacked blocks, or C alone, against two stacked instances."""
+    rng = np.random.default_rng(p + 3)
+    chunk = matrix._SPLIT_CHUNK
+    for inner in (chunk - 1, chunk, chunk + 1):
+        a, b = stacked_operands(p, 3, inner, 1, rng)
+        if left == "2-D":
+            a = a[1]
+        out = matrix._apply(matrix._prepare(a, p), b, p)
+        assert out.dtype == np.int64 and out.shape == (2, 3, 1)
+        for s in range(2):
+            expected = int64_matmul(a[s] if a.ndim == 3 else a, b[s], p)
+            assert np.array_equal(out[s], expected), (inner, s)
+
+
+@pytest.mark.parametrize("p", [3, 65521, MAX_MODULUS])
+def test_stacked_products_on_each_side_of_the_reduction_size_rule(p):
+    """Below _REDUCE_BY_DIVISION entries a reduction takes %, from there on x - x // p * p."""
+    rng = np.random.default_rng(p + 4)
+    size = matrix._REDUCE_BY_DIVISION
+    x = rng.integers(0, 2**62, size=size)
+    x[:3] = 0, p - 1, 2**62 - 1
+    for y in (x[1:], x, np.repeat(x, 2)[::2]):  # one entry fewer, then as many, then strided
+        kept = y.copy()
+        assert np.array_equal(matrix._reduce(y, p), kept % p) and np.array_equal(y, kept)
+    for t in (size // 4 - 1, size // 4):  # 2 x 2 x t entries: 4 fewer than the rule, then as many
+        a, b = stacked_operands(p, 2, 40, t, rng)
+        out = matrix._apply(matrix._prepare(a, p), b, p)
+        for s in range(2):
+            assert np.array_equal(out[s], int64_matmul(a[s], b[s], p)), t
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("shape", [(0, 0, 0), (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 4), (4, 0, 0)])
 def test_zero_size_products(p, shape):

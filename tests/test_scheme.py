@@ -344,6 +344,30 @@ def test_run_trials_matches_the_single_trial_reference(n, l, q, monkeypatch):
             assert passed == 37 if under_test is system else passed < 37
 
 
+@pytest.mark.parametrize("q", [13, 2**31 - 1])
+@pytest.mark.parametrize("n", [6, 7])
+def test_a_channel_with_off_diagonal_entries_transmits_through_them(n, q):
+    """One entry in M_Q's top-right block and one in its bottom-left, against the referee.
+
+    A built channel's off-diagonal blocks are zero, and the engine skips
+    their product; a system that carries other ones must still transmit
+    through them.
+    """
+    params = QcsaParams.default(PrimeField(q), n, 2)
+    system = build_qcsa_system(params)
+    m = system.box.M.array.copy()
+    top_right, bottom_left = (n // 2 - 1, 2 * n - 1), (n // 2, 0)
+    assert not m[:n // 2, n:].any() and not m[n // 2:, :n].any()
+    m[top_right], m[bottom_left] = q - 1, 1
+    under_test = replace(system, box=replace(system.box, M=FieldMatrix(params.field, m)))
+    referee = _referee(params, under_test, 9, 20)
+    [(block, y, expected, ok)] = trial_blocks(params, 9, 20, under_test)
+    assert y.T.tolist() == [r["y"] for r in referee]
+    assert ok.tolist() == [r["passed"] for r in referee] and not ok.all()
+    for t, r in enumerate(referee):
+        assert list(qcsa_roundtrip(params, (9, t), under_test).y) == r["y"]
+
+
 @pytest.mark.parametrize("n,l,q", DIFFERENTIAL_GRID)
 def test_one_draw_of_2n_symbols_equals_the_four_instance_draws(n, l, q):
     params = QcsaParams.default(PrimeField(q), n, l)
